@@ -4,15 +4,9 @@
    micro-benchmark per experiment measuring the wall-clock cost of the
    corresponding simulation harness. With --json it instead writes the
    whole run as one udma-bench/1 document (BENCH_udma.json), and with
-   --check FILE it diffs the paper anchors (E1 %-of-max at 512 B and
-   4 KB, E2 initiation cycles, E11 saturation knee, E12 per-policy
-   transpose knees, E13 hotspot knees at 1 and 4 VCs, E14 per-backend
-   initiation p50 at 8 tenants and p99 at 256, E15 contiguous and
-   SG-256 bytes-per-cycle, E16 KV and RPC request p99 at load 0.8,
-   E18 flit-vs-analytic HOL p99 delta at 1 and 4 VCs)
-   against a previously
-   committed baseline, failing on >±2 % drift — that is the CI
-   regression gate. *)
+   --check FILE it reads every entry of the [anchors] table below out
+   of this run and out of a previously committed baseline, failing on
+   >±2 % drift — that is the CI regression gate. *)
 
 module Runner = Udma_workloads.Runner
 module Report = Udma_obs.Report
@@ -21,8 +15,13 @@ module Json = Udma_obs.Json
 open Bechamel
 open Toolkit
 
+module Load_gen = Udma_traffic.Load_gen
+
 (* Small parameterisations so each Bechamel sample is a fraction of a
    second; the printed paper series above use the full parameters. *)
+let small (cfg : Load_gen.config) =
+  { cfg with nodes = 4; warmup_cycles = 500; window_cycles = 4_000 }
+
 let bech_tests =
   [
     Test.make ~name:"e1_figure8_point"
@@ -54,19 +53,19 @@ let bech_tests =
     Test.make ~name:"e11_traffic_point"
       (Staged.stage (fun () ->
            ignore
-             (Runner.report_saturation ~loads:[ 0.5 ] ~nodes:4
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
+             (Runner.report_saturation ~loads:[ 0.5 ]
+                (small Load_gen.default_config))));
     Test.make ~name:"e12_adaptive_point"
       (Staged.stage (fun () ->
            ignore
-             (Runner.report_adaptive ~loads:[ 0.5 ] ~nodes:4
+             (Runner.report_adaptive ~loads:[ 0.5 ]
                 ~patterns:[ Udma_traffic.Pattern.Transpose ]
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
+                (small Runner.adaptive_regime))));
     Test.make ~name:"e13_hotspot_point"
       (Staged.stage (fun () ->
            ignore
-             (Runner.report_hotspot ~loads:[ 0.5 ] ~nodes:4 ~pcts:[ 50 ]
-                ~vc_counts:[ 2 ] ~warmup_cycles:500 ~window_cycles:4_000 ())));
+             (Runner.report_hotspot ~loads:[ 0.5 ] ~pcts:[ 50 ]
+                ~vc_counts:[ 2 ] (small Runner.hotspot_regime))));
     Test.make ~name:"e14_tenants_point"
       (Staged.stage (fun () ->
            ignore (Runner.report_tenants ~tenant_counts:[ 64 ] ~ops:2_000 ())));
@@ -84,8 +83,7 @@ let bech_tests =
     Test.make ~name:"e18_flit_point"
       (Staged.stage (fun () ->
            ignore
-             (Runner.report_flit ~nodes:4 ~vc_counts:[ 2 ]
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
+             (Runner.report_flit ~vc_counts:[ 2 ] (small Runner.flit_regime))));
   ]
 
 let run_bechamel () =
@@ -121,107 +119,67 @@ let run_bechamel () =
 (* anchors: the quantitative claims CI guards against drift            *)
 (* ------------------------------------------------------------------ *)
 
-let report_value reports ~id pick =
-  match List.find_opt (fun (r : Report.t) -> r.Report.id = id) reports with
-  | None -> None
-  | Some r -> pick r.Report.rows
+(* Lookups over a udma-bench/1 document: the one shape both the
+   committed baseline and the current run (through Report.bench_json,
+   the serializer that wrote the baseline) are read in. *)
+let list_field k v =
+  match Json.member k v with Some l -> Json.to_list l | None -> []
 
-let row_num field row =
-  match List.assoc_opt field row with
-  | Some (Report.Int i) -> Some (float_of_int i)
-  | Some (Report.Float f) -> Some f
-  | _ -> None
+let experiment id doc =
+  List.find_opt
+    (fun e -> Json.member "id" e = Some (Json.Str id))
+    (list_field "experiments" doc)
 
-let row_where field value rows pick_field =
+let rows_of id doc =
+  Option.fold ~none:[] ~some:(list_field "rows") (experiment id doc)
+
+let num field v = Option.bind (Json.member field v) Json.number
+let num_is field x row = num field row = Some x
+let str_is field s row = Json.member field row = Some (Json.Str s)
+
+(* [field] of the first row of experiment [id] that satisfies [where]
+   and has a numeric [field]. *)
+let row_value id ~where field doc =
   List.find_map
-    (fun row ->
-      match row_num field row with
-      | Some v when v = value -> row_num pick_field row
-      | _ -> None)
-    rows
+    (fun row -> if where row then num field row else None)
+    (rows_of id doc)
 
-let row_labelled label rows pick_field =
-  List.find_map
-    (fun row ->
-      match List.assoc_opt "label" row with
-      | Some (Report.Str l) when l = label -> row_num pick_field row
-      | _ -> None)
-    rows
+let meta_value id field doc =
+  Option.bind (experiment id doc) (fun e ->
+      Option.bind (Json.member "meta" e) (num field))
 
-let report_meta_num reports ~id field =
-  match List.find_opt (fun (r : Report.t) -> r.Report.id = id) reports with
-  | None -> None
-  | Some r -> row_num field r.Report.meta
-
-let row_with_str field value rows pick_field =
-  List.find_map
-    (fun row ->
-      match List.assoc_opt field row with
-      | Some (Report.Str l) when l = value -> row_num pick_field row
-      | _ -> None)
-    rows
-
-(* (name, value) for the checked anchors: the paper's 51 % of peak at
-   512 B, 96 % at 4 KB (Figure 8), the ~200-cycle two-reference
-   initiation (§8), the traffic sweep's saturation knee + its
-   lightest-load mean latency (E11, guards the contention model), and
-   the per-policy transpose knees (E12, guards adaptive routing). *)
-let anchors_of_reports reports =
-  let e1 pick =
-    report_value reports ~id:"e1_figure8" (fun rows ->
-        row_where "size" pick rows "pct_of_max")
-  in
-  let e2 =
-    report_value reports ~id:"e2_initiation" (fun rows ->
-        row_labelled "UDMA initiation (2 refs + check)" rows "cycles")
-  in
-  let e11_base =
-    report_value reports ~id:"e11_saturation" (fun rows ->
-        row_where "load" 0.2 rows "mean_latency")
-  in
-  let e12 field =
-    report_value reports ~id:"e12_adaptive" (fun rows ->
-        row_with_str "pattern" "transpose" rows field)
-  in
+(* The checked anchors, by name: the paper's 51 % of peak at 512 B and
+   96 % at 4 KB (Figure 8), the ~200-cycle two-reference initiation
+   (§8), then the knees, tails and bandwidths of E11-E18 built on
+   them. *)
+let anchors =
   let e13 vcs =
-    report_value reports ~id:"e13_hotspot" (fun rows ->
-        List.find_map
-          (fun row ->
-            match (row_num "hot_pct" row, row_num "vcs" row) with
-            | Some p, Some v when p = 50.0 && v = vcs ->
-                row_num "knee" row
-            | _ -> None)
-          rows)
+    row_value "e13_hotspot"
+      ~where:(fun r -> num_is "hot_pct" 50.0 r && num_is "vcs" vcs r)
+      "knee"
   in
   let e14 backend tenants field =
-    report_value reports ~id:"e14_tenants" (fun rows ->
-        List.find_map
-          (fun row ->
-            match (List.assoc_opt "backend" row, row_num "tenants" row) with
-            | Some (Report.Str b), Some t when b = backend && t = tenants ->
-                row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e15 shape field =
-    report_value reports ~id:"e15_shapes" (fun rows ->
-        row_with_str "shape" shape rows field)
-  in
-  let e16 id load =
-    report_value reports ~id (fun rows -> row_where "load" load rows "p99")
-  in
-  let e18 vcs =
-    report_value reports ~id:"e18_flit" (fun rows ->
-        row_where "vcs" vcs rows "hol_delta")
+    row_value "e14_tenants"
+      ~where:(fun r -> str_is "backend" backend r && num_is "tenants" tenants r)
+      field
   in
   [
-    ("e1.pct_of_max@512B", e1 512.0);
-    ("e1.pct_of_max@4KB", e1 4096.0);
-    ("e2.initiation_cycles", e2);
-    ("e11.knee_load", report_meta_num reports ~id:"e11_saturation" "knee_load");
-    ("e11.mean_latency@0.2", e11_base);
-    ("e12.knee_dim@transpose", e12 "knee_dim");
-    ("e12.knee_adaptive@transpose", e12 "knee_adaptive");
+    ("e1.pct_of_max@512B",
+     row_value "e1_figure8" ~where:(num_is "size" 512.0) "pct_of_max");
+    ("e1.pct_of_max@4KB",
+     row_value "e1_figure8" ~where:(num_is "size" 4096.0) "pct_of_max");
+    ("e2.initiation_cycles",
+     row_value "e2_initiation"
+       ~where:(str_is "label" "UDMA initiation (2 refs + check)")
+       "cycles");
+    ("e11.knee_load", meta_value "e11_saturation" "knee_load");
+    ("e11.mean_latency@0.2",
+     row_value "e11_saturation" ~where:(num_is "load" 0.2) "mean_latency");
+    ("e12.knee_dim@transpose",
+     row_value "e12_adaptive" ~where:(str_is "pattern" "transpose") "knee_dim");
+    ("e12.knee_adaptive@transpose",
+     row_value "e12_adaptive" ~where:(str_is "pattern" "transpose")
+       "knee_adaptive");
     ("e13.knee@hot50.vcs1", e13 1.0);
     ("e13.knee@hot50.vcs4", e13 4.0);
     ("e14.p50@proxy.t8", e14 "proxy" 8.0 "p50");
@@ -230,177 +188,41 @@ let anchors_of_reports reports =
     ("e14.p99@iommu.t256", e14 "iommu" 256.0 "p99");
     ("e14.p50@capability.t8", e14 "capability" 8.0 "p50");
     ("e14.p99@capability.t256", e14 "capability" 256.0 "p99");
-    ("e15.bpc@contig.basic", e15 "contig" "basic_bpc");
-    ("e15.bpc@sg256.basic", e15 "sg256" "basic_bpc");
-    ("e15.pct@sg256.basic", e15 "sg256" "basic_pct");
-    ("e16.kv_p99@0.8", e16 "e16_kv" 0.8);
-    ("e16.rpc_p99@0.8", e16 "e16_rpc" 0.8);
-    ("e18.hol_delta@vcs1", e18 1.0);
-    ("e18.hol_delta@vcs4", e18 4.0);
+    ("e15.bpc@contig.basic",
+     row_value "e15_shapes" ~where:(str_is "shape" "contig") "basic_bpc");
+    ("e15.bpc@sg256.basic",
+     row_value "e15_shapes" ~where:(str_is "shape" "sg256") "basic_bpc");
+    ("e15.pct@sg256.basic",
+     row_value "e15_shapes" ~where:(str_is "shape" "sg256") "basic_pct");
+    ("e16.kv_p99@0.8", row_value "e16_kv" ~where:(num_is "load" 0.8) "p99");
+    ("e16.rpc_p99@0.8", row_value "e16_rpc" ~where:(num_is "load" 0.8) "p99");
+    ("e18.hol_delta@vcs1",
+     row_value "e18_flit" ~where:(num_is "vcs" 1.0) "hol_delta");
+    ("e18.hol_delta@vcs4",
+     row_value "e18_flit" ~where:(num_is "vcs" 4.0) "hol_delta");
   ]
 
-let json_rows_of_experiment doc ~id =
-  match Json.member "experiments" doc with
-  | Some exps ->
-      List.find_map
-        (fun exp ->
-          match Json.member "id" exp with
-          | Some (Json.Str i) when i = id -> Some (Json.to_list (Option.value ~default:Json.Null (Json.member "rows" exp)))
-          | _ -> None)
-        (Json.to_list exps)
-  | None -> None
-
-let json_row_num field row =
-  Option.bind (Json.member field row) Json.number
-
-let json_meta_num doc ~id field =
-  match Json.member "experiments" doc with
-  | Some exps ->
-      List.find_map
-        (fun exp ->
-          match Json.member "id" exp with
-          | Some (Json.Str i) when i = id ->
-              Option.bind (Json.member "meta" exp) (fun meta ->
-                  Option.bind (Json.member field meta) Json.number)
-          | _ -> None)
-        (Json.to_list exps)
-  | None -> None
-
-let anchors_of_baseline doc =
-  let e1 pick =
-    Option.bind (json_rows_of_experiment doc ~id:"e1_figure8") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "size" row with
-            | Some v when v = pick -> json_row_num "pct_of_max" row
-            | _ -> None)
-          rows)
-  in
-  let e2 =
-    Option.bind (json_rows_of_experiment doc ~id:"e2_initiation") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "label" row) Json.string_ with
-            | Some l when l = "UDMA initiation (2 refs + check)" ->
-                json_row_num "cycles" row
-            | _ -> None)
-          rows)
-  in
-  let e11_base =
-    Option.bind (json_rows_of_experiment doc ~id:"e11_saturation") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "load" row with
-            | Some v when v = 0.2 -> json_row_num "mean_latency" row
-            | _ -> None)
-          rows)
-  in
-  let e12 field =
-    Option.bind (json_rows_of_experiment doc ~id:"e12_adaptive") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "pattern" row) Json.string_ with
-            | Some "transpose" -> json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e13 vcs =
-    Option.bind (json_rows_of_experiment doc ~id:"e13_hotspot") (fun rows ->
-        List.find_map
-          (fun row ->
-            match (json_row_num "hot_pct" row, json_row_num "vcs" row) with
-            | Some p, Some v when p = 50.0 && v = vcs ->
-                json_row_num "knee" row
-            | _ -> None)
-          rows)
-  in
-  let e14 backend tenants field =
-    Option.bind (json_rows_of_experiment doc ~id:"e14_tenants") (fun rows ->
-        List.find_map
-          (fun row ->
-            match
-              ( Option.bind (Json.member "backend" row) Json.string_,
-                json_row_num "tenants" row )
-            with
-            | Some b, Some t when b = backend && t = tenants ->
-                json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e15 shape field =
-    Option.bind (json_rows_of_experiment doc ~id:"e15_shapes") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "shape" row) Json.string_ with
-            | Some s when s = shape -> json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e16 id load =
-    Option.bind (json_rows_of_experiment doc ~id) (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "load" row with
-            | Some v when v = load -> json_row_num "p99" row
-            | _ -> None)
-          rows)
-  in
-  let e18 vcs =
-    Option.bind (json_rows_of_experiment doc ~id:"e18_flit") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "vcs" row with
-            | Some v when v = vcs -> json_row_num "hol_delta" row
-            | _ -> None)
-          rows)
-  in
-  [
-    ("e1.pct_of_max@512B", e1 512.0);
-    ("e1.pct_of_max@4KB", e1 4096.0);
-    ("e2.initiation_cycles", e2);
-    ("e11.knee_load", json_meta_num doc ~id:"e11_saturation" "knee_load");
-    ("e11.mean_latency@0.2", e11_base);
-    ("e12.knee_dim@transpose", e12 "knee_dim");
-    ("e12.knee_adaptive@transpose", e12 "knee_adaptive");
-    ("e13.knee@hot50.vcs1", e13 1.0);
-    ("e13.knee@hot50.vcs4", e13 4.0);
-    ("e14.p50@proxy.t8", e14 "proxy" 8.0 "p50");
-    ("e14.p99@proxy.t256", e14 "proxy" 256.0 "p99");
-    ("e14.p50@iommu.t8", e14 "iommu" 8.0 "p50");
-    ("e14.p99@iommu.t256", e14 "iommu" 256.0 "p99");
-    ("e14.p50@capability.t8", e14 "capability" 8.0 "p50");
-    ("e14.p99@capability.t256", e14 "capability" 256.0 "p99");
-    ("e15.bpc@contig.basic", e15 "contig" "basic_bpc");
-    ("e15.bpc@sg256.basic", e15 "sg256" "basic_bpc");
-    ("e15.pct@sg256.basic", e15 "sg256" "basic_pct");
-    ("e16.kv_p99@0.8", e16 "e16_kv" 0.8);
-    ("e16.rpc_p99@0.8", e16 "e16_rpc" 0.8);
-    ("e18.hol_delta@vcs1", e18 1.0);
-    ("e18.hol_delta@vcs4", e18 4.0);
-  ]
+let read_baseline ~who file =
+  let ic = open_in file in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Json.parse s with
+  | Ok doc -> doc
+  | Error msg ->
+      Printf.eprintf "%s: cannot parse %s: %s\n" who file msg;
+      exit 2
 
 let check_anchors reports ~baseline_file =
-  let doc =
-    let ic = open_in baseline_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.parse s with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "check: cannot parse %s: %s\n" baseline_file msg;
-        exit 2
-  in
-  let current = anchors_of_reports reports in
-  let baseline = anchors_of_baseline doc in
+  let doc = read_baseline ~who:"check" baseline_file in
+  let current = Report.bench_json reports in
   let tolerance = 0.02 in
   Printf.printf "\n=== anchor check vs %s (tolerance +/-%.0f%%) ===\n"
     baseline_file (100.0 *. tolerance);
   let failed = ref false in
   List.iter
-    (fun (name, cur) ->
-      match (cur, List.assoc_opt name baseline) with
-      | Some cur, Some (Some base) ->
+    (fun (name, value) ->
+      match (value current, value doc) with
+      | Some cur, Some base ->
           let drift =
             if base = 0.0 then Float.abs cur
             else Float.abs (cur -. base) /. Float.abs base
@@ -410,13 +232,13 @@ let check_anchors reports ~baseline_file =
           Printf.printf "%-24s baseline %10.2f  current %10.2f  drift %5.1f%%  %s\n"
             name base cur (100.0 *. drift)
             (if ok then "ok" else "DRIFT")
-      | _, (None | Some None) ->
+      | _, None ->
           failed := true;
           Printf.printf "%-24s missing from baseline file\n" name
       | None, _ ->
           failed := true;
           Printf.printf "%-24s missing from current run\n" name)
-    current;
+    anchors;
   if !failed then begin
     Printf.printf
       "anchor check FAILED: regenerate the baseline (see EXPERIMENTS.md) if \
@@ -438,7 +260,6 @@ let check_anchors reports ~baseline_file =
    regression gate) and prints the rates purely for information. *)
 
 module Shard_gen = Udma_traffic.Shard_gen
-module Load_gen = Udma_traffic.Load_gen
 
 let sim_deterministic_fields =
   [ "events"; "windows"; "cross_posts"; "shards"; "injected"; "delivered";
@@ -507,22 +328,9 @@ let sim_report ~nodes ~load ~window ~seed ~domains_list =
       ]
     rows
 
-let sim_baseline_rows doc =
-  Option.value ~default:[] (json_rows_of_experiment doc ~id:"sim_throughput")
-
 let sim_check report ~baseline_file =
-  let doc =
-    let ic = open_in baseline_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.parse s with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "sim --check: cannot parse %s: %s\n" baseline_file msg;
-        exit 2
-  in
-  let base_rows = sim_baseline_rows doc in
+  let sim_rows = rows_of "sim_throughput" in
+  let base_rows = sim_rows (read_baseline ~who:"sim --check" baseline_file) in
   Printf.printf
     "\n=== sim determinism gate vs %s (deterministic fields, exact) ===\n"
     baseline_file;
@@ -530,14 +338,10 @@ let sim_check report ~baseline_file =
   List.iter
     (fun row ->
       let domains =
-        match List.assoc_opt "domains" row with
-        | Some (Report.Int d) -> d
-        | _ -> -1
+        Option.fold ~none:(-1) ~some:int_of_float (num "domains" row)
       in
       let base_row =
-        List.find_opt
-          (fun r -> json_row_num "domains" r = Some (float_of_int domains))
-          base_rows
+        List.find_opt (num_is "domains" (float_of_int domains)) base_rows
       in
       match base_row with
       | None ->
@@ -546,8 +350,8 @@ let sim_check report ~baseline_file =
       | Some base ->
           List.iter
             (fun field ->
-              let cur = row_num field row in
-              let ref_ = json_row_num field base in
+              let cur = num field row in
+              let ref_ = num field base in
               let ok = cur <> None && cur = ref_ in
               if not ok then failed := true;
               Printf.printf "domains=%d %-14s baseline %12s  current %12s  %s\n"
@@ -556,7 +360,7 @@ let sim_check report ~baseline_file =
                 (match cur with Some v -> Printf.sprintf "%.6g" v | None -> "-")
                 (if ok then "ok" else "MISMATCH"))
             sim_deterministic_fields)
-    report.Report.rows;
+    (sim_rows (Report.bench_json [ report ]));
   if !failed then begin
     Printf.printf
       "sim determinism gate FAILED: the sharded engine's results moved. If \
@@ -642,8 +446,9 @@ let () =
       value
       & opt (some string) None
       & info [ "check" ] ~docv:"FILE"
-          ~doc:"Diff the E1/E2/E11/E12/E13/E14/E15 anchors of this run \
-                against the baseline document $(docv); exit 1 on >±2% drift.")
+          ~doc:"Diff the paper anchors of this run (the $(b,anchors) table \
+                in bench/main.ml) against the baseline document $(docv); \
+                exit 1 on >±2% drift.")
   in
   let default_term = Term.(const run $ json $ out $ quick $ seed $ check) in
   let sim_cmd =

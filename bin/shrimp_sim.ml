@@ -160,9 +160,12 @@ let atomicity_term =
   in
   Term.(const run $ common_term $ probs $ transfers)
 
-let traffic_term =
+(* The traffic knobs as one [Load_gen.config] term: each flag's default
+   is the record's, and [seed] comes from the common flags. *)
+let traffic_config_term =
   let module Pattern = Udma_traffic.Pattern in
-  let module Sweep = Udma_traffic.Sweep in
+  let module Load_gen = Udma_traffic.Load_gen in
+  let d = Load_gen.default_config in
   let pattern_conv =
     Arg.conv
       ( (fun s -> Pattern.parse s |> Result.map_error (fun e -> `Msg e)),
@@ -170,7 +173,7 @@ let traffic_term =
   in
   let nodes =
     Arg.(
-      value & opt int 16
+      value & opt int d.nodes
       & info [ "nodes" ] ~docv:"N"
           ~doc:
             "Mesh size, filling complete rows of the squarest covering \
@@ -178,21 +181,10 @@ let traffic_term =
              larger meshes (up to 1024) run on the sharded engine (see \
              $(b,--domains)).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the sharded per-row simulation engine. The \
-             default 1 on a mesh of up to 64 nodes keeps the legacy \
-             single-queue engine (byte-identical reports); any higher value \
-             — or a larger mesh — dispatches to the sharded conservative \
-             kernel, whose results are identical for every domain count.")
-  in
   let pattern =
     Arg.(
       value
-      & opt pattern_conv Pattern.Uniform
+      & opt pattern_conv d.pattern
       & info [ "pattern" ] ~docv:"PATTERN"
           ~doc:
             "Spatial pattern: $(b,uniform), $(b,transpose), $(b,neighbor) or \
@@ -200,27 +192,18 @@ let traffic_term =
   in
   let msg_bytes =
     Arg.(
-      value & opt int 256
+      value & opt int d.msg_bytes
       & info [ "msg-bytes" ] ~docv:"BYTES"
           ~doc:"Message size; a 4-byte multiple up to 4092 (one packet).")
   in
-  let loads =
-    Arg.(
-      value
-      & opt (list float) Sweep.default_loads
-      & info [ "loads" ] ~docv:"L,..."
-          ~doc:
-            "Offered loads to sweep, as fractions of one source's calibrated \
-             initiation capacity.")
-  in
   let window =
     Arg.(
-      value & opt int 50_000
+      value & opt int d.window_cycles
       & info [ "window" ] ~docv:"CYCLES" ~doc:"Measurement window per point.")
   in
   let warmup =
     Arg.(
-      value & opt int 2_000
+      value & opt int d.warmup_cycles
       & info [ "warmup" ] ~docv:"CYCLES" ~doc:"Run-in before measurement.")
   in
   let no_contention =
@@ -237,7 +220,7 @@ let traffic_term =
       & opt
           (enum
              [ ("dimension", `Dimension_order); ("adaptive", `Minimal_adaptive) ])
-          `Dimension_order
+          d.routing
       & info [ "routing" ] ~docv:"POLICY"
           ~doc:
             "Router path policy: $(b,dimension) (X then Y, the default) or \
@@ -246,7 +229,7 @@ let traffic_term =
   in
   let link_per_word =
     Arg.(
-      value & opt int 1
+      value & opt int d.link_per_word
       & info [ "link-per-word" ] ~docv:"CYCLES"
           ~doc:
             "Router cycles per 4-byte word on a mesh link (default 1). \
@@ -255,7 +238,7 @@ let traffic_term =
   in
   let vcs =
     Arg.(
-      value & opt int 1
+      value & opt int d.vc_count
       & info [ "vcs" ] ~docv:"N"
           ~doc:
             "Virtual channels per directed mesh link, 1..4 (default 1: the \
@@ -265,7 +248,7 @@ let traffic_term =
   let rx_credits =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some int) d.rx_credits
       & info [ "rx-credits" ] ~docv:"N"
           ~doc:
             "Deposit slots per (link, VC) receive FIFO (default: unlimited, \
@@ -275,7 +258,7 @@ let traffic_term =
   let crossing =
     let crossing_conv = Arg.enum [ ("analytic", `Analytic); ("flit", `Flit) ] in
     Arg.(
-      value & opt crossing_conv `Analytic
+      value & opt crossing_conv d.crossing
       & info [ "crossing" ] ~docv:"MODEL"
           ~doc:
             "Wire model under contention: $(b,analytic) (default, \
@@ -287,25 +270,69 @@ let traffic_term =
   in
   let flit_words =
     Arg.(
-      value & opt int 1
+      value & opt int d.flit_words
       & info [ "flit-words" ] ~docv:"N"
           ~doc:"4-byte words per flit in the flit crossing (default 1).")
   in
-  let run c nodes pattern msg_bytes loads window warmup no_contention routing
-      link_per_word vcs rx_credits crossing flit_words domains =
-    emit_reports c (fun () ->
-        [
-          Runner.report_saturation ~loads ~nodes ~pattern ~msg_bytes
-            ~warmup_cycles:warmup ~window_cycles:window
-            ~link_contention:(not no_contention) ~routing ~link_per_word
-            ~vc_count:vcs ~rx_credits ~crossing ~flit_words ~seed:c.seed
-            ~domains ();
-        ])
+  let config nodes pattern msg_bytes window_cycles warmup_cycles
+      no_contention routing link_per_word vc_count rx_credits crossing
+      flit_words =
+    {
+      d with
+      Load_gen.nodes;
+      pattern;
+      msg_bytes;
+      window_cycles;
+      warmup_cycles;
+      link_contention = not no_contention;
+      routing;
+      link_per_word;
+      vc_count;
+      rx_credits;
+      crossing;
+      flit_words;
+    }
   in
   Term.(
-    const run $ common_term $ nodes $ pattern $ msg_bytes $ loads $ window
-    $ warmup $ no_contention $ routing $ link_per_word $ vcs $ rx_credits
-    $ crossing $ flit_words $ domains)
+    const config $ nodes $ pattern $ msg_bytes $ window $ warmup
+    $ no_contention $ routing $ link_per_word $ vcs $ rx_credits $ crossing
+    $ flit_words)
+
+let traffic_term =
+  let loads =
+    Arg.(
+      value
+      & opt (list float) Udma_traffic.Sweep.default_loads
+      & info [ "loads" ] ~docv:"L,..."
+          ~doc:
+            "Offered loads to sweep, as fractions of one source's calibrated \
+             initiation capacity.")
+  in
+  let domains =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the sharded per-row simulation engine. The \
+             default 1 on a mesh of up to 64 nodes keeps the legacy \
+             single-queue engine (byte-identical reports); any higher value \
+             — or a larger mesh — dispatches to the sharded conservative \
+             kernel, whose results are identical for every domain count.")
+  in
+  (* a knob outside its engine's range is a usage error naming the
+     field, raised by [Sweep.run] before any simulation *)
+  let run c loads domains cfg =
+    match
+      emit_reports c (fun () ->
+          [
+            Runner.report_saturation ~loads ~domains
+              { cfg with Udma_traffic.Load_gen.seed = c.seed };
+          ])
+    with
+    | () -> `Ok ()
+    | exception Invalid_argument msg -> `Error (true, msg)
+  in
+  Term.(ret (const run $ common_term $ loads $ domains $ traffic_config_term))
 
 let tenants_term =
   let module Backend = Udma_protect.Backend in

@@ -79,6 +79,16 @@ let percentile_sorted arr p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     arr.(max 0 (min (n - 1) (rank - 1)))
 
+(* The checks every engine applies, each message naming its field and
+   prefixed with the rejecting engine. *)
+let validate_common ~engine (cfg : config) =
+  let bad msg = invalid_arg (engine ^ ": " ^ msg) in
+  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
+  then bad "msg_bytes must be a positive 4-byte multiple <= 4092";
+  if cfg.link_per_word < 1 then bad "link_per_word must be >= 1";
+  if cfg.window_cycles <= 0 then bad "window_cycles must be positive";
+  if cfg.warmup_cycles < 0 then bad "warmup_cycles must be non-negative"
+
 let validate (cfg : config) =
   if cfg.nodes < 2 || cfg.nodes > 64 then
     invalid_arg "Load_gen: nodes must be in 2..64";
@@ -86,25 +96,17 @@ let validate (cfg : config) =
     invalid_arg
       "Load_gen: nodes must fill complete mesh rows (2, 4, 6, 9, 12, 16, 20, \
        25, 30, 36, 42, 49, 56 or 64)";
-  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
-  then
-    invalid_arg "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092";
-  if cfg.link_per_word < 1 then
-    invalid_arg "Load_gen: link_per_word must be >= 1";
+  validate_common ~engine:"Load_gen" cfg;
   if cfg.vc_count < 1 || cfg.vc_count > 4 then
     invalid_arg "Load_gen: vc_count must be in 1..4";
   (match cfg.rx_credits with
   | Some n when n < 1 -> invalid_arg "Load_gen: rx_credits must be >= 1"
   | Some _ | None -> ());
   if cfg.flit_words < 1 then invalid_arg "Load_gen: flit_words must be >= 1";
-  (match (cfg.crossing, cfg.routing) with
+  match (cfg.crossing, cfg.routing) with
   | `Flit, `Minimal_adaptive ->
       invalid_arg "Load_gen: the flit crossing is dimension-order only"
-  | (`Flit | `Analytic), _ -> ());
-  if cfg.window_cycles <= 0 then
-    invalid_arg "Load_gen: window_cycles must be positive";
-  if cfg.warmup_cycles < 0 then
-    invalid_arg "Load_gen: warmup_cycles must be non-negative"
+  | (`Flit | `Analytic), _ -> ()
 
 let make_system (cfg : config) =
   System.create

@@ -94,6 +94,15 @@ val percentile_sorted : int array -> float -> int
     the convention every latency stat in a {!result} uses. Exposed so
     the sharded generator reports with identical rounding. *)
 
+val validate_common : engine:string -> config -> unit
+(** The field checks every engine shares ([msg_bytes], [link_per_word],
+    [window_cycles], [warmup_cycles]): raises [Invalid_argument] with a
+    message prefixed by [engine] that names the offending field. *)
+
+val validate : config -> unit
+(** Raises [Invalid_argument], naming the offending field, on a config
+    outside the documented ranges of this engine (2..64 nodes). *)
+
 val calibrate : ?msg_bytes:int -> unit -> int
 (** The per-message initiation cost on a fresh 2-node system (what a
     run would measure); lets a sweep plan arrival rates relative to

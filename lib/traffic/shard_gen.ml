@@ -46,36 +46,29 @@ let validate (cfg : Load_gen.config) =
   if not (Router.valid_nodes cfg.nodes) then
     invalid_arg
       "Shard_gen: nodes must fill complete mesh rows (16, 64, 256, 1024, ...)";
-  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
-  then
-    invalid_arg
-      "Shard_gen: msg_bytes must be a positive 4-byte multiple <= 4092";
-  if cfg.link_per_word < 1 then
-    invalid_arg "Shard_gen: link_per_word must be >= 1";
+  Load_gen.validate_common ~engine:"Shard_gen" cfg;
   (match cfg.routing with
   | `Dimension_order -> ()
   | `Minimal_adaptive ->
       invalid_arg
-        "Shard_gen: the sharded engine supports dimension-order routing only \
+        "Shard_gen: routing must be dimension-order on the sharded engine \
          (adaptive choice reads remote link state mid-walk)");
   if cfg.vc_count <> 1 then
-    invalid_arg "Shard_gen: the sharded engine supports a single VC per link";
+    invalid_arg
+      "Shard_gen: vc_count must be 1 on the sharded engine (a single VC per \
+       link)";
   if cfg.rx_credits <> None then
     invalid_arg
-      "Shard_gen: the sharded engine does not model finite rx credits \
-       (the injection gate reads remote deposit state)";
+      "Shard_gen: rx_credits must be unlimited on the sharded engine (the \
+       injection gate reads remote deposit state)";
   if cfg.crossing <> `Analytic then
     invalid_arg
-      "Shard_gen: the sharded engine has no cycle-level wire model; the flit \
-       crossing runs on the legacy engine";
+      "Shard_gen: crossing must be analytic on the sharded engine (no \
+       cycle-level wire model; the flit crossing runs on the legacy engine)";
   if not (Arrival.open_loop cfg.arrival) then
     invalid_arg
-      "Shard_gen: closed-loop arrivals need sub-lookahead delivery feedback; \
-       use the legacy engine";
-  if cfg.window_cycles <= 0 then
-    invalid_arg "Shard_gen: window_cycles must be positive";
-  if cfg.warmup_cycles < 0 then
-    invalid_arg "Shard_gen: warmup_cycles must be non-negative"
+      "Shard_gen: arrival must be open-loop on the sharded engine (closed \
+       loops need sub-lookahead delivery feedback; use the legacy engine)"
 
 (* One directed mesh link, owned by the shard of its source node. *)
 type link = {

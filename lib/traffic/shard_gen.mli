@@ -36,7 +36,9 @@ val max_nodes : int
 (** 1024 (a 32×32 mesh). *)
 
 val validate : Load_gen.config -> unit
-(** Raises [Invalid_argument] outside the supported subset above. *)
+(** Raises [Invalid_argument], naming the offending field, outside the
+    supported subset above; the field ranges both engines share are
+    {!Load_gen.validate_common}. *)
 
 val run :
   ?domains:int -> ?send_cycles:int -> Load_gen.config -> Load_gen.result

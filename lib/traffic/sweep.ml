@@ -60,51 +60,34 @@ let detect_knee points =
    parallelism is requested or the mesh exceeds the legacy 64-node
    cap. [domains = 1] on a small mesh therefore IS the current
    engine — the single-domain deterministic mode. *)
-let use_sharded ?(crossing = `Analytic) ~nodes ~domains () =
+let use_sharded ~domains (cfg : Load_gen.config) =
   (* the flit crossing is a legacy-engine feature: the sharded kernel
      has no cycle-level wire model, so flit sweeps ignore [domains] *)
-  crossing = `Analytic && (domains > 1 || nodes > 64)
+  cfg.crossing = `Analytic && (domains > 1 || cfg.nodes > 64)
 
-let run ?(loads = default_loads) ?probe ?(nodes = 16)
-    ?(pattern = Pattern.Uniform) ?(msg_bytes = 256) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 50_000) ?(link_contention = true)
-    ?(routing = `Dimension_order)
-    ?(link_per_word = Load_gen.default_config.Load_gen.link_per_word)
-    ?(vc_count = Load_gen.default_config.Load_gen.vc_count)
-    ?(rx_credits = Load_gen.default_config.Load_gen.rx_credits)
-    ?(crossing = Load_gen.default_config.Load_gen.crossing)
-    ?(flit_words = Load_gen.default_config.Load_gen.flit_words)
-    ?(seed = 42) ?(domains = 1) () =
+let with_rate (cfg : Load_gen.config) per_kcycle =
+  { cfg with arrival = Arrival.Poisson { per_kcycle } }
+
+let run ?(loads = default_loads) ?probe ?(domains = 1) (cfg : Load_gen.config)
+    =
   if loads = [] then invalid_arg "Sweep.run: empty load list";
   List.iter
     (fun l -> if not (l > 0.0) then invalid_arg "Sweep.run: loads must be > 0")
     loads;
   if domains < 1 then invalid_arg "Sweep.run: domains must be >= 1";
-  let sharded = use_sharded ~crossing ~nodes ~domains () in
+  let sharded = use_sharded ~domains cfg in
+  (* reject bad knobs before calibrating; every point overwrites
+     [arrival], so the base config is checked under a Poisson one *)
+  (if sharded then Shard_gen.validate else Load_gen.validate)
+    (with_rate cfg 1.0);
   (* per-source capacity: one initiation every [send_cycles]; a load
      fraction maps to that share of the capacity rate *)
-  let send_cycles = Load_gen.calibrate ~msg_bytes () in
+  let send_cycles = Load_gen.calibrate ~msg_bytes:cfg.msg_bytes () in
   let points =
     List.map
       (fun load ->
-        let per_kcycle = load *. 1000.0 /. float_of_int send_cycles in
         let cfg =
-          {
-            Load_gen.nodes;
-            pattern;
-            arrival = Arrival.Poisson { per_kcycle };
-            msg_bytes;
-            warmup_cycles;
-            window_cycles;
-            link_contention;
-            routing;
-            link_per_word;
-            vc_count;
-            rx_credits;
-            crossing;
-            flit_words;
-            seed;
-          }
+          with_rate cfg (load *. 1000.0 /. float_of_int send_cycles)
         in
         let result =
           if sharded then Shard_gen.run ~domains ~send_cycles cfg

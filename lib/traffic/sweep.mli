@@ -35,42 +35,33 @@ val detect_knee : point list -> int option
     [Some 0] (no later point is compared against the saturated
     baseline). *)
 
-val use_sharded :
-  ?crossing:Udma_shrimp.Router.crossing ->
-  nodes:int -> domains:int -> unit -> bool
+val use_sharded : domains:int -> Load_gen.config -> bool
 (** Engine dispatch rule for {!run}: the sharded conservative kernel
-    ({!Shard_gen}) runs the points when [domains > 1] or
-    [nodes > 64]; otherwise the legacy global-engine {!Load_gen} path
-    does — so [domains = 1] on a small mesh is byte-identical to the
-    engine every committed anchor was produced on. The [`Flit]
-    crossing (default [`Analytic]) always stays on the legacy engine:
-    the sharded kernel has no cycle-level wire model, so flit sweeps
+    ({!Shard_gen}) runs the points when [domains > 1] or the config
+    has more than 64 [nodes]; otherwise the legacy global-engine
+    {!Load_gen} path does — so [domains = 1] on a small mesh is
+    byte-identical to the engine every committed anchor was produced
+    on. The [`Flit] crossing always stays on the legacy engine: the
+    sharded kernel has no cycle-level wire model, so flit sweeps
     ignore [domains]. *)
 
 val run :
   ?loads:float list ->
   ?probe:(Udma_sim.Engine.t -> unit) ->
-  ?nodes:int ->
-  ?pattern:Pattern.t ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
-  ?link_contention:bool ->
-  ?routing:Udma_shrimp.Router.routing ->
-  ?link_per_word:int ->
-  ?vc_count:int ->
-  ?rx_credits:int option ->
-  ?crossing:Udma_shrimp.Router.crossing ->
-  ?flit_words:int ->
-  ?seed:int ->
   ?domains:int ->
-  unit ->
+  Load_gen.config ->
   outcome
-(** Deterministic under [seed]: equal arguments give equal outcomes,
-    byte for byte — and on the sharded path, identical for every
-    [domains] value (default 1), which only sets the worker-domain
-    count. [probe] observes each point's fresh engine (cycle
-    attribution); it is consulted on the legacy path only — the
-    sharded kernel has no global engine to probe. Configs outside the
-    sharded subset (adaptive routing, several VCs, finite credits,
-    closed arrivals) raise [Invalid_argument] when dispatched to it. *)
+(** [run cfg] runs one point per load (default {!default_loads}) on
+    [cfg] with only its [arrival] replaced: a Poisson rate of that
+    load's share of the calibrated per-source capacity. Deterministic
+    under [cfg.seed]: equal arguments give equal outcomes, byte for
+    byte — and on the sharded path, identical for every [domains]
+    value (default 1), which only sets the worker-domain count.
+    [probe] observes each point's fresh engine (cycle attribution); it
+    is consulted on the legacy path only — the sharded kernel has no
+    global engine to probe. Before any calibration or simulation the
+    config is checked by the engine {!use_sharded} picks
+    ({!Shard_gen.validate} or {!Load_gen.validate}), so a bad knob —
+    including one outside the sharded subset (adaptive routing,
+    several VCs, finite credits) — raises [Invalid_argument] naming
+    the field. *)

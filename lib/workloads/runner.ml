@@ -1052,22 +1052,12 @@ module Pattern = Udma_traffic.Pattern
 module Load_gen = Udma_traffic.Load_gen
 module Sweep = Udma_traffic.Sweep
 
-let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
-    ?(msg_bytes = 256) ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
-    ?(link_contention = true) ?(routing = `Dimension_order)
-    ?(link_per_word = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.link_per_word)
-    ?(vc_count = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.vc_count)
-    ?(rx_credits = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.rx_credits)
-    ?(crossing = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.crossing)
-    ?(flit_words = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.flit_words)
-    ?(seed = 42) ?(domains = 1) () =
+let v_credits = function Some n -> vi n | None -> vs "unlimited"
+
+let report_saturation ?loads ?(domains = 1) (cfg : Load_gen.config) =
   let p = probe () in
-  let sharded = Sweep.use_sharded ~crossing ~nodes ~domains () in
-  let outcome =
-    Sweep.run ?loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
-      ~warmup_cycles ~window_cycles ~link_contention ~routing ~link_per_word
-      ~vc_count ~rx_credits ~crossing ~flit_words ~seed ~domains ()
-  in
+  let sharded = Sweep.use_sharded ~domains cfg in
+  let outcome = Sweep.run ?loads ~probe:(watch p) ~domains cfg in
   let width =
     match outcome.Sweep.points with
     | { result; _ } :: _ -> result.Load_gen.width
@@ -1076,20 +1066,20 @@ let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
   Report.make ~id:"e11_saturation"
     ~title:
       (Printf.sprintf
-         "E11: latency vs offered load, %d-node mesh, %s traffic%s" nodes
-         (Pattern.to_string pattern)
-         (if link_contention then "" else " (contention off)"))
+         "E11: latency vs offered load, %d-node mesh, %s traffic%s" cfg.nodes
+         (Pattern.to_string cfg.pattern)
+         (if cfg.link_contention then "" else " (contention off)"))
     ~meta:
       ([
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
-        ("pattern", vs (Pattern.to_string pattern));
-        ("msg_bytes", vi msg_bytes);
+        ("pattern", vs (Pattern.to_string cfg.pattern));
+        ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi outcome.Sweep.send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("link_contention", vb link_contention);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("link_contention", vb cfg.link_contention);
+        ("seed", vi cfg.seed);
         ( "knee_load",
           match outcome.Sweep.knee_load with
           | Some l -> vf l
@@ -1106,8 +1096,8 @@ let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
          else [])
       (* same discipline for the flit crossing: analytic reports are
          byte-identical to the pre-flit runner *)
-      @ (if crossing = `Flit then
-           [ ("crossing", vs "flit"); ("flit_words", vi flit_words) ]
+      @ (if cfg.crossing = `Flit then
+           [ ("crossing", vs "flit"); ("flit_words", vi cfg.flit_words) ]
          else [])
     )
     ~columns:
@@ -1154,15 +1144,20 @@ let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
    transpose concentrates only ~3 flows on its worst link), so both
    policies would knee together at source saturation and the routing
    policy could not matter. *)
-let report_adaptive ?loads ?(nodes = 16)
+let adaptive_regime =
+  {
+    Load_gen.default_config with
+    msg_bytes = 2048;
+    window_cycles = 100_000;
+    link_per_word = 2;
+  }
+
+let report_adaptive ?loads
     ?(patterns = [ Pattern.Uniform; Pattern.Transpose; Pattern.default_hotspot ])
-    ?(msg_bytes = 2048) ?(warmup_cycles = 2_000) ?(window_cycles = 100_000)
-    ?(link_per_word = 2) ?(seed = 42) () =
+    (cfg : Load_gen.config) =
   let p = probe () in
   let sweep pattern routing =
-    Sweep.run ?loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
-      ~warmup_cycles ~window_cycles ~link_contention:true ~routing
-      ~link_per_word ~seed ()
+    Sweep.run ?loads ~probe:(watch p) { cfg with pattern; routing }
   in
   let send_cycles = ref 0 in
   let rows =
@@ -1190,23 +1185,22 @@ let report_adaptive ?loads ?(nodes = 16)
         ])
       patterns
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
   Report.make ~id:"e12_adaptive"
     ~title:
       (Printf.sprintf
          "E12: dimension-order vs minimal-adaptive routing, %d-node mesh \
           (saturation knee per pattern)"
-         nodes)
+         cfg.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("width", vi width);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
+        ("nodes", vi cfg.nodes);
+        ("width", vi (Udma_shrimp.Router.mesh_width cfg.nodes));
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1227,10 +1221,10 @@ let report_adaptive ?loads ?(nodes = 16)
    hot packet, so the knee holds (or improves) as the hotspot share
    grows; finite deposit credits turn the residual overload into
    source-side [credit_stalls] instead of unbounded link queues. *)
-let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
-    ?(vc_counts = [ 1; 2; 4 ]) ?(msg_bytes = 2048) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 100_000) ?(link_per_word = 2) ?(rx_credits = Some 8)
-    ?(seed = 42) () =
+let hotspot_regime = { adaptive_regime with rx_credits = Some 8 }
+
+let report_hotspot ?loads ?(pcts = [ 10; 25; 50 ]) ?(vc_counts = [ 1; 2; 4 ])
+    (cfg : Load_gen.config) =
   let p = probe () in
   let send_cycles = ref 0 in
   let rows =
@@ -1239,11 +1233,12 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
         List.map
           (fun vcs ->
             let o =
-              Sweep.run ?loads ~probe:(watch p) ~nodes
-                ~pattern:(Pattern.Hotspot { node = 0; pct })
-                ~msg_bytes ~warmup_cycles ~window_cycles
-                ~link_contention:true ~routing:`Dimension_order
-                ~link_per_word ~vc_count:vcs ~rx_credits ~seed ()
+              Sweep.run ?loads ~probe:(watch p)
+                {
+                  cfg with
+                  pattern = Pattern.Hotspot { node = 0; pct };
+                  vc_count = vcs;
+                }
             in
             send_cycles := o.Sweep.send_cycles;
             let heaviest =
@@ -1267,27 +1262,23 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
           vc_counts)
       pcts
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
   Report.make ~id:"e13_hotspot"
     ~title:
       (Printf.sprintf
          "E13: hotspot saturation vs virtual channels, %d-node mesh \
           (knee per hotspot share; stall columns at the heaviest load)"
-         nodes)
+         cfg.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("width", vi width);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
-        ( "rx_credits",
-          match rx_credits with
-          | Some n -> vi n
-          | None -> vs "unlimited" );
+        ("nodes", vi cfg.nodes);
+        ("width", vi (Udma_shrimp.Router.mesh_width cfg.nodes));
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
+        ("rx_credits", v_credits cfg.rx_credits);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1316,19 +1307,21 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
    availability, and [occupancy] shows where the worms sat per VC.
    Extra VCs let cold flits interleave around the blocked worm, so
    both the delta and the stall count shrink from 1 VC to 4. *)
-let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
-    ?(vc_counts = [ 1; 2; 4 ]) ?(msg_bytes = 2048) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 60_000) ?(link_per_word = 2) ?(rx_credits = Some 8)
-    ?(flit_words = 1) ?(seed = 42) () =
+let flit_regime = { hotspot_regime with window_cycles = 60_000 }
+
+let report_flit ?(load = 0.5) ?(hot_pct = 50) ?(vc_counts = [ 1; 2; 4 ])
+    (cfg : Load_gen.config) =
   let p = probe () in
   let send_cycles = ref 0 in
   let point crossing vcs =
     let o =
-      Sweep.run ~loads:[ load ] ~probe:(watch p) ~nodes
-        ~pattern:(Pattern.Hotspot { node = 0; pct = hot_pct })
-        ~msg_bytes ~warmup_cycles ~window_cycles ~link_contention:true
-        ~routing:`Dimension_order ~link_per_word ~vc_count:vcs ~rx_credits
-        ~crossing ~flit_words ~seed ()
+      Sweep.run ~loads:[ load ] ~probe:(watch p)
+        {
+          cfg with
+          pattern = Pattern.Hotspot { node = 0; pct = hot_pct };
+          vc_count = vcs;
+          crossing;
+        }
     in
     send_cycles := o.Sweep.send_cycles;
     match o.Sweep.points with
@@ -1361,31 +1354,27 @@ let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
         ])
       vc_counts
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
   Report.make ~id:"e18_flit"
     ~title:
       (Printf.sprintf
          "E18: flit-level wormhole crossing vs the analytic wire, %d-node \
           mesh, %d%% hotspot at load %.2f (head-of-line blocking per VC \
           count)"
-         nodes hot_pct load)
+         cfg.nodes hot_pct load)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("width", vi width);
+        ("nodes", vi cfg.nodes);
+        ("width", vi (Udma_shrimp.Router.mesh_width cfg.nodes));
         ("hot_pct", vi hot_pct);
         ("load", vf load);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
-        ("flit_words", vi flit_words);
-        ( "rx_credits",
-          match rx_credits with
-          | Some n -> vi n
-          | None -> vs "unlimited" );
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
+        ("flit_words", vi cfg.flit_words);
+        ("rx_credits", v_credits cfg.rx_credits);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -2022,23 +2011,18 @@ module Shard_gen = Udma_traffic.Shard_gen
    columns vary between hosts and runs — they are advisory, never
    anchored. The authoritative throughput anchors live in
    BENCH_sim.json (bench sim). *)
-let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
-    ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
-    ?(domains_list = [ 1; 2; 4 ]) ?(seed = 42) () =
+let simscale_regime = { Load_gen.default_config with nodes = 256 }
+
+let report_simscale ?(load = 0.9) ?(domains_list = [ 1; 2; 4 ])
+    (cfg : Load_gen.config) =
   if domains_list = [] then invalid_arg "report_simscale: empty domains list";
-  let send_cycles = Load_gen.calibrate ~msg_bytes () in
+  let send_cycles = Load_gen.calibrate ~msg_bytes:cfg.msg_bytes () in
   let cfg =
     {
-      Load_gen.default_config with
-      Load_gen.nodes;
-      msg_bytes;
-      warmup_cycles;
-      window_cycles;
+      cfg with
       arrival =
         Udma_traffic.Arrival.Poisson
           { per_kcycle = load *. 1000.0 /. float_of_int send_cycles };
-      rx_credits = None;
-      seed;
     }
   in
   let runs =
@@ -2073,17 +2057,17 @@ let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
     ~title:
       (Printf.sprintf
          "E17: sharded engine throughput — events/sec vs worker domains, \
-          %d-node mesh at load %.1f" nodes load)
+          %d-node mesh at load %.1f" cfg.nodes load)
     ~meta:
       [
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
         ("load", vf load);
-        ("msg_bytes", vi msg_bytes);
+        ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
         ("host_cores", vi (Domain.recommended_domain_count ()));
         ("deterministic", vb deterministic);
       ]
@@ -2234,9 +2218,9 @@ let experiments =
           if quick then
             [
               report_saturation ~loads:[ 0.2; 0.6; 0.9; 1.1 ]
-                ~window_cycles:20_000 ~seed ();
+                { Load_gen.default_config with window_cycles = 20_000; seed };
             ]
-          else [ report_saturation ~seed () ]);
+          else [ report_saturation { Load_gen.default_config with seed } ]);
     };
     {
       exp_name = "adaptive";
@@ -2251,12 +2235,10 @@ let experiments =
               (* same link-bound regime as the full sweep, on the four
                  loads that bracket both policies' knees with margin *)
               report_adaptive ~loads:[ 0.2; 0.6; 0.8; 1.0 ]
-                ~patterns:
-                  [ Udma_traffic.Pattern.Transpose;
-                    Udma_traffic.Pattern.default_hotspot ]
-                ~seed ();
+                ~patterns:[ Pattern.Transpose; Pattern.default_hotspot ]
+                { adaptive_regime with seed };
             ]
-          else [ report_adaptive ~seed () ]);
+          else [ report_adaptive { adaptive_regime with seed } ]);
     };
     {
       exp_name = "hotspot";
@@ -2269,9 +2251,9 @@ let experiments =
           if quick then
             [
               report_hotspot ~loads:[ 0.2; 0.6; 0.8; 1.0 ] ~pcts:[ 25; 50 ]
-                ~vc_counts:[ 1; 4 ] ~seed ();
+                ~vc_counts:[ 1; 4 ] { hotspot_regime with seed };
             ]
-          else [ report_hotspot ~seed () ]);
+          else [ report_hotspot { hotspot_regime with seed } ]);
     };
     {
       exp_name = "tenants";
@@ -2329,10 +2311,10 @@ let experiments =
         (fun ~quick ~seed ->
           if quick then
             [
-              report_simscale ~window_cycles:20_000 ~domains_list:[ 1; 2 ]
-                ~seed ();
+              report_simscale ~domains_list:[ 1; 2 ]
+                { simscale_regime with window_cycles = 20_000; seed };
             ]
-          else [ report_simscale ~seed () ]);
+          else [ report_simscale { simscale_regime with seed } ]);
     };
     {
       exp_name = "flit";
@@ -2344,9 +2326,10 @@ let experiments =
         (fun ~quick ~seed ->
           if quick then
             [
-              report_flit ~vc_counts:[ 1; 4 ] ~window_cycles:20_000 ~seed ();
+              report_flit ~vc_counts:[ 1; 4 ]
+                { flit_regime with window_cycles = 20_000; seed };
             ]
-          else [ report_flit ~seed () ]);
+          else [ report_flit { flit_regime with seed } ]);
     };
   ]
 

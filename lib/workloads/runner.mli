@@ -156,110 +156,90 @@ val report_updates : unit -> Report.t
 (** {1 E11 — traffic saturation (lib/traffic)} *)
 
 val report_saturation :
-  ?loads:float list ->
-  ?nodes:int ->
-  ?pattern:Udma_traffic.Pattern.t ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
-  ?link_contention:bool ->
-  ?routing:Udma_shrimp.Router.routing ->
-  ?link_per_word:int ->
-  ?vc_count:int ->
-  ?rx_credits:int option ->
-  ?crossing:Udma_shrimp.Router.crossing ->
-  ?flit_words:int ->
-  ?seed:int ->
-  ?domains:int ->
-  unit ->
-  Report.t
+  ?loads:float list -> ?domains:int -> Udma_traffic.Load_gen.config -> Report.t
 (** Latency vs offered load on a mesh driven by
-    {!Udma_traffic.Sweep}: one row per load point (offered/delivered
-    throughput, latency percentiles, head-of-line blocking), with the
-    detected saturation knee flagged in the rows and recorded in the
-    meta as [knee_load] (or the string ["none"]). Deterministic under
-    [seed]. [domains] (default 1) selects the worker-domain count for
-    the sharded engine; per {!Udma_traffic.Sweep.use_sharded} the
-    legacy single-engine path — and its exact report bytes — is kept
-    whenever [domains = 1] and [nodes <= 64]. On the sharded path the
-    meta gains [engine]/[domains] fields and the report is identical
-    for every [domains] value. [crossing] (default [`Analytic])
-    selects the wire model; [`Flit] pins the legacy engine and adds
-    [crossing]/[flit_words] meta fields, leaving analytic reports
+    {!Udma_traffic.Sweep.run} over the config (E11 uses
+    {!Udma_traffic.Load_gen.default_config}): one row per load point
+    (offered/delivered throughput, latency percentiles, head-of-line
+    blocking), with the detected saturation knee flagged in the rows
+    and recorded in the meta as [knee_load] (or the string ["none"]).
+    Deterministic under the config's [seed]. [domains] (default 1)
+    selects the worker-domain count for the sharded engine; per
+    {!Udma_traffic.Sweep.use_sharded} the legacy single-engine path —
+    and its exact report bytes — is kept whenever [domains = 1] and
+    [nodes <= 64]. On the sharded path the meta gains
+    [engine]/[domains] fields and the report is identical for every
+    [domains] value. A [`Flit] crossing pins the legacy engine and
+    adds [crossing]/[flit_words] meta fields, leaving analytic reports
     byte-identical to the pre-flit runner. *)
 
 (** {1 E12 — routing policy comparison (lib/shrimp router)} *)
 
+val adaptive_regime : Udma_traffic.Load_gen.config
+(** The E12 link-bound regime: {!Udma_traffic.Load_gen.default_config}
+    with 2 KB messages, [link_per_word = 2] and a 100k-cycle window,
+    which put the bottleneck on the contended links rather than the
+    send initiation path, so the routing policy is visible in the
+    knee. *)
+
 val report_adaptive :
   ?loads:float list ->
-  ?nodes:int ->
   ?patterns:Udma_traffic.Pattern.t list ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
-  ?link_per_word:int ->
-  ?seed:int ->
-  unit ->
+  Udma_traffic.Load_gen.config ->
   Report.t
-(** The E11 sweep re-run per pattern under both routing policies
-    (contention on): one row per pattern with the saturation knee
-    under dimension-order ([knee_dim]) and minimal-adaptive
+(** The E11 sweep re-run on the config per pattern under both routing
+    policies (the config's [pattern] and [routing] are the swept
+    axes): one row per pattern with the saturation knee under
+    dimension-order ([knee_dim]) and minimal-adaptive
     ([knee_adaptive]), the knee shift, and the heaviest point's
-    head-of-line blocking under each. The defaults (2 KB messages,
-    [link_per_word = 2]) put the bottleneck on the contended links
-    rather than the send initiation path, so the policy choice is
-    visible in the knee. Deterministic under [seed]. *)
+    head-of-line blocking under each. E12 runs it on
+    {!adaptive_regime}. Deterministic under the config's [seed]. *)
 
 (** {1 E13 — hotspot saturation vs virtual channels} *)
 
+val hotspot_regime : Udma_traffic.Load_gen.config
+(** The E13 regime: {!adaptive_regime} with 8 deposit credits per
+    (link, VC) receive FIFO. *)
+
 val report_hotspot :
   ?loads:float list ->
-  ?nodes:int ->
   ?pcts:int list ->
   ?vc_counts:int list ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
-  ?link_per_word:int ->
-  ?rx_credits:int option ->
-  ?seed:int ->
-  unit ->
+  Udma_traffic.Load_gen.config ->
   Report.t
-(** The E12 link-bound regime under a hotspot pattern: one row per
-    (hotspot share, VC count) with the saturation knee and, at the
-    heaviest load, the source-side credit stalls and link-queue
-    ceiling. More VCs let cold flows backfill around a blocked
-    hotspot packet (the knee holds or improves as the share grows);
-    finite [rx_credits] (default [Some 8]) convert residual overload
-    into [credit_stalls] instead of unbounded link depth.
-    Deterministic under [seed]. *)
+(** The sweep under a hotspot pattern on node 0 (the config's
+    [pattern] and [vc_count] are the swept axes): one row per (hotspot
+    share, VC count) with the saturation knee and, at the heaviest
+    load, the source-side credit stalls and link-queue ceiling. More
+    VCs let cold flows backfill around a blocked hotspot packet (the
+    knee holds or improves as the share grows); finite [rx_credits]
+    convert residual overload into [credit_stalls] instead of
+    unbounded link depth. E13 runs it on {!hotspot_regime}.
+    Deterministic under the config's [seed]. *)
 
 (** {1 E18 — flit-level wormhole crossing vs the analytic wire} *)
 
+val flit_regime : Udma_traffic.Load_gen.config
+(** The E18 regime: {!hotspot_regime} with a 60k-cycle window. *)
+
 val report_flit :
   ?load:float ->
-  ?nodes:int ->
   ?hot_pct:int ->
   ?vc_counts:int list ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
-  ?link_per_word:int ->
-  ?rx_credits:int option ->
-  ?flit_words:int ->
-  ?seed:int ->
-  unit ->
+  Udma_traffic.Load_gen.config ->
   Report.t
-(** The E13 hotspot regime (default: 50 % hotspot share, 2 KB
-    messages, link-bound wires, 8 deposit credits) run at one offered
-    load under both wire models, per VC count: [hol_delta] is the p99
+(** The config (E18 runs it on {!flit_regime}) under a hotspot pattern
+    on node 0 (default share 50 %) at one offered load (default 0.5)
+    under both wire models, per VC count — the config's [pattern],
+    [vc_count] and [crossing] are the swept axes: [hol_delta] is the p99
     latency the packet-granularity analytic crossing under-reports
     (flit p99 minus analytic p99 — head-of-line blocking through the
     per-(link, VC) input FIFOs a stalled worm occupies across links),
     [hol_cycles] counts link flit-cycles a free wire spent blocked on
     VC/credit availability, and [occupancy] is the per-VC mean/max
     buffered-flit profile. Both shrink from 1 VC to 4 as cold flits
-    interleave around the blocked worm. Deterministic under [seed]. *)
+    interleave around the blocked worm. Deterministic under the
+    config's [seed]. *)
 
 (** {1 E14 — multi-tenant protection backends} *)
 
@@ -410,19 +390,19 @@ val report_rpc :
     drain check; the SLO knee in the meta. Deterministic under
     [seed]. *)
 
+val simscale_regime : Udma_traffic.Load_gen.config
+(** The E17 workload: {!Udma_traffic.Load_gen.default_config} on a
+    256-node (16x16) mesh. *)
+
 val report_simscale :
-  ?nodes:int ->
   ?load:float ->
-  ?msg_bytes:int ->
-  ?warmup_cycles:int ->
-  ?window_cycles:int ->
   ?domains_list:int list ->
-  ?seed:int ->
-  unit ->
+  Udma_traffic.Load_gen.config ->
   Report.t
 (** E17: the sharded conservative engine ({!Udma_traffic.Shard_gen})
-    run on one fixed open-loop point (default: 16x16 mesh at load 0.9)
-    once per entry of [domains_list] (default [[1; 2; 4]]). One row
+    run on the config (E17 uses {!simscale_regime}) at one fixed
+    open-loop load (default 0.9) once per entry of [domains_list]
+    (default [[1; 2; 4]]). One row
     per domain count with the kernel counters (events, windows,
     cross-shard posts), the traffic result, and the wall-clock
     events/sec + speedup over the first entry. The counters and the
@@ -441,12 +421,12 @@ type experiment = {
 }
 
 val experiments : experiment list
-(** The experiment registry, in E1..E17 order. [all_reports] and the
+(** The experiment registry, in E1..E18 order. [all_reports] and the
     [shrimp_sim] command set are both derived from it, so a new
     experiment registers exactly once here. *)
 
 val all_reports : ?quick:bool -> ?seed:int -> unit -> Report.t list
-(** Every experiment (E1 basic + queued, E2..E17) as reports, in
+(** Every experiment (E1 basic + queued, E2..E18) as reports, in
     registry order. [quick] (default false) substitutes the small
     deterministic parameter set CI uses for the committed
     [BENCH_baseline.json]; [seed] feeds the randomized experiments

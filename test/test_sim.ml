@@ -2,7 +2,6 @@
 
 module Eventq = Udma_sim.Eventq
 module Engine = Udma_sim.Engine
-module Stats = Udma_sim.Stats
 module Rng = Udma_sim.Rng
 module Trace = Udma_sim.Trace
 
@@ -246,66 +245,6 @@ let test_engine_time_conversion () =
   Alcotest.(check (float 0.001)) "10 ns per cycle at 100 MHz" 10.0
     (Engine.ns_of_cycles e 1);
   Alcotest.(check (float 0.001)) "us" 1.0 (Engine.us_of_cycles e 100)
-
-(* ---------- Stats ---------- *)
-
-let test_stats_counters () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr s "a";
-  Stats.add s "b" 10;
-  checki "a" 2 (Stats.get s "a");
-  checki "b" 10 (Stats.get s "b");
-  checki "absent" 0 (Stats.get s "zzz");
-  Alcotest.(check (list (pair string int)))
-    "sorted counters"
-    [ ("a", 2); ("b", 10) ]
-    (Stats.counters s)
-
-let test_stats_summary () =
-  let s = Stats.create () in
-  for i = 1 to 100 do
-    Stats.observe s "lat" (float_of_int i)
-  done;
-  match Stats.summarize s "lat" with
-  | None -> Alcotest.fail "expected summary"
-  | Some sum ->
-      checki "count" 100 sum.Stats.count;
-      Alcotest.(check (float 0.01)) "mean" 50.5 sum.Stats.mean;
-      Alcotest.(check (float 0.01)) "min" 1.0 sum.Stats.min;
-      Alcotest.(check (float 0.01)) "max" 100.0 sum.Stats.max;
-      Alcotest.(check (float 0.01)) "p50" 50.0 sum.Stats.p50;
-      Alcotest.(check (float 0.01)) "p95" 95.0 sum.Stats.p95;
-      Alcotest.(check (float 0.01)) "p99" 99.0 sum.Stats.p99
-
-let test_stats_empty_summary () =
-  let s = Stats.create () in
-  checkb "no data no summary" true (Stats.summarize s "none" = None)
-
-let test_stats_dump () =
-  let s = Stats.create () in
-  Stats.incr s "hits";
-  Stats.observe s "lat" 4.0;
-  Stats.observe s "lat" 8.0;
-  let dump = Stats.dump s in
-  (* the dump is standalone JSON (parsed with the obs parser) *)
-  match Udma_obs.Json.parse dump with
-  | Error msg -> Alcotest.failf "dump is not JSON (%s): %s" msg dump
-  | Ok doc ->
-      checkb "hits counter" true
-        (Udma_obs.Json.path [ "counters"; "hits" ] doc
-        = Some (Udma_obs.Json.Int 1));
-      checkb "series count" true
-        (Udma_obs.Json.path [ "series"; "lat"; "count" ] doc
-        = Some (Udma_obs.Json.Int 2))
-
-let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.incr s "x";
-  Stats.observe s "y" 1.0;
-  Stats.reset s;
-  checki "counter gone" 0 (Stats.get s "x");
-  checkb "series gone" true (Stats.observations s "y" = [])
 
 (* ---------- Rng ---------- *)
 
@@ -564,14 +503,6 @@ let () =
           Alcotest.test_case "wait_for idle failure" `Quick
             test_engine_wait_for_idle_failure;
           Alcotest.test_case "time conversion" `Quick test_engine_time_conversion;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "counters" `Quick test_stats_counters;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
-          Alcotest.test_case "empty summary" `Quick test_stats_empty_summary;
-          Alcotest.test_case "json dump" `Quick test_stats_dump;
-          Alcotest.test_case "reset" `Quick test_stats_reset;
         ] );
       ( "rng",
         [

@@ -274,11 +274,18 @@ let test_knee_detection () =
          mk_point 0.8 150.0 ]
     = None)
 
+let sweep_cfg nodes =
+  {
+    Load_gen.default_config with
+    Load_gen.nodes;
+    msg_bytes = 128;
+    warmup_cycles = 500;
+    window_cycles = 4_000;
+    seed = 11;
+  }
+
 let test_sweep_deterministic () =
-  let run () =
-    Sweep.run ~loads:[ 0.3; 1.2 ] ~nodes:4 ~msg_bytes:128 ~warmup_cycles:500
-      ~window_cycles:4_000 ~seed:11 ()
-  in
+  let run () = Sweep.run ~loads:[ 0.3; 1.2 ] (sweep_cfg 4) in
   let a = run () and b = run () in
   checkb "sweep identical under one seed" true (a = b);
   checki "one point per load" 2 (List.length a.Sweep.points);
@@ -357,20 +364,60 @@ let test_shard_gen_validation () =
   reject "oversized mesh" { (shard_cfg ()) with Load_gen.nodes = 2048 }
 
 let test_sweep_dispatch () =
+  let mesh nodes = { Load_gen.default_config with Load_gen.nodes } in
   checkb "small mesh, one domain: legacy" false
-    (Sweep.use_sharded ~nodes:16 ~domains:1 ());
+    (Sweep.use_sharded ~domains:1 (mesh 16));
   checkb "small mesh, two domains: sharded" true
-    (Sweep.use_sharded ~nodes:16 ~domains:2 ());
+    (Sweep.use_sharded ~domains:2 (mesh 16));
   checkb "large mesh always sharded" true
-    (Sweep.use_sharded ~nodes:256 ~domains:1 ());
+    (Sweep.use_sharded ~domains:1 (mesh 256));
   checkb "flit crossing pins the legacy engine" false
-    (Sweep.use_sharded ~crossing:`Flit ~nodes:16 ~domains:2 ());
+    (Sweep.use_sharded ~domains:2
+       { (mesh 16) with Load_gen.crossing = `Flit });
   (* the sharded sweep is domain-count invariant end to end *)
-  let sweep domains =
-    Sweep.run ~loads:[ 0.3; 0.9 ] ~nodes:16 ~msg_bytes:128 ~warmup_cycles:500
-      ~window_cycles:4_000 ~seed:11 ~domains ()
-  in
+  let sweep domains = Sweep.run ~loads:[ 0.3; 0.9 ] ~domains (sweep_cfg 16) in
   checkb "sweep identical at domains 2 and 3" true (sweep 2 = sweep 3)
+
+(* A bad knob is rejected before calibration, by the engine the sweep
+   dispatches to, with a message naming the field. Calibration is a
+   real traced send, so a global sink that counted no event proves
+   nothing was simulated. *)
+let test_sweep_rejects_bad_knobs () =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  let rejects name ?domains cfg ~field =
+    let sink, events = Udma_obs.Event.counting_sink () in
+    Udma_sim.Trace.set_global_sink (Some sink);
+    let outcome =
+      Fun.protect
+        ~finally:(fun () -> Udma_sim.Trace.set_global_sink None)
+        (fun () ->
+          match Sweep.run ~loads:[ 0.5 ] ?domains cfg with
+          | exception Invalid_argument msg -> Error msg
+          | _ -> Ok ())
+    in
+    (match outcome with
+    | Error msg ->
+        checkb
+          (Printf.sprintf "%s: message %S names %s" name msg field)
+          true (contains msg field)
+    | Ok () -> Alcotest.failf "%s: expected Invalid_argument" name);
+    checki (name ^ ": nothing simulated") 0 (events ())
+  in
+  let cfg = sweep_cfg 16 in
+  rejects "oversized message" { cfg with Load_gen.msg_bytes = 4096 }
+    ~field:"msg_bytes";
+  rejects "zero credits" { cfg with Load_gen.rx_credits = Some 0 }
+    ~field:"rx_credits";
+  rejects "two VCs on the sharded engine" ~domains:2
+    { cfg with Load_gen.vc_count = 2 } ~field:"vc_count";
+  rejects "sharded engine, shared check" ~domains:2
+    { cfg with Load_gen.link_per_word = 0 } ~field:"link_per_word"
 
 let () =
   Alcotest.run "udma_traffic"
@@ -410,6 +457,8 @@ let () =
             test_sweep_deterministic;
           Alcotest.test_case "engine dispatch + sharded sweep" `Quick
             test_sweep_dispatch;
+          Alcotest.test_case "bad knobs rejected before any work" `Quick
+            test_sweep_rejects_bad_knobs;
         ] );
       ( "shard_gen",
         [
