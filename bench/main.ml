@@ -6,7 +6,8 @@
    whole run as one udma-bench/1 document (BENCH_udma.json), and with
    --check FILE it reads every entry of the [anchors] table below out
    of this run and out of a previously committed baseline, failing on
-   >±2 % drift — that is the CI regression gate. *)
+   >±2 % drift, and compares E17's deterministic engine columns
+   exactly — that is the CI regression gate. *)
 
 module Runner = Udma_workloads.Runner
 module Report = Udma_obs.Report
@@ -68,7 +69,9 @@ let bech_tests =
                 ~vc_counts:[ 2 ] (small Runner.hotspot_regime))));
     Test.make ~name:"e14_tenants_point"
       (Staged.stage (fun () ->
-           ignore (Runner.report_tenants ~tenant_counts:[ 64 ] ~ops:2_000 ())));
+           ignore
+             (Runner.report_tenants ~tenant_counts:[ 64 ]
+                { Udma_protect.Tenants.default_config with ops = 2_000 })));
     Test.make ~name:"e15_shapes_point"
       (Staged.stage (fun () ->
            ignore
@@ -78,8 +81,13 @@ let bech_tests =
     Test.make ~name:"e16_apps_point"
       (Staged.stage (fun () ->
            ignore
-             (Runner.report_kv ~loads:[ 0.5 ] ~nodes:4
-                ~window_cycles:10_000 ())));
+             (Runner.report_kv ~loads:[ 0.5 ]
+                {
+                  Udma_app.Kv.default_config with
+                  fabric = { Udma_app.Fabric.default_config with nodes = 4 };
+                  shards = 4;
+                  window_cycles = 10_000;
+                })));
     Test.make ~name:"e18_flit_point"
       (Staged.stage (fun () ->
            ignore
@@ -212,6 +220,42 @@ let read_baseline ~who file =
       Printf.eprintf "%s: cannot parse %s: %s\n" who file msg;
       exit 2
 
+(* E17's engine counters and traffic result are the same on every host
+   and for every domain count, so they are compared exactly, row by row
+   per domain count; the wall-clock columns are never gated. *)
+let e17_exact_fields =
+  [ "events"; "windows"; "cross_posts"; "shards"; "injected"; "delivered";
+    "mean_latency"; "p99_latency" ]
+
+let check_e17 ~current ~baseline ~failed =
+  let show = function Some v -> Printf.sprintf "%.17g" v | None -> "-" in
+  let base_rows = rows_of "e17_simscale" baseline in
+  let rows = rows_of "e17_simscale" current in
+  if rows = [] then begin
+    failed := true;
+    Printf.printf "e17_simscale missing from current run\n"
+  end;
+  List.iter
+    (fun row ->
+      let domains = num "domains" row in
+      match List.find_opt (fun b -> num "domains" b = domains) base_rows with
+      | None ->
+          failed := true;
+          Printf.printf "e17 domains=%s missing from baseline file\n"
+            (show domains)
+      | Some base ->
+          List.iter
+            (fun field ->
+              let cur = num field row and ref_ = num field base in
+              let ok = cur <> None && cur = ref_ in
+              if not ok then failed := true;
+              Printf.printf
+                "e17 domains=%s %-13s baseline %20s  current %20s  %s\n"
+                (show domains) field (show ref_) (show cur)
+                (if ok then "ok" else "MISMATCH"))
+            e17_exact_fields)
+    rows
+
 let check_anchors reports ~baseline_file =
   let doc = read_baseline ~who:"check" baseline_file in
   let current = Report.bench_json reports in
@@ -239,6 +283,9 @@ let check_anchors reports ~baseline_file =
           failed := true;
           Printf.printf "%-24s missing from current run\n" name)
     anchors;
+  Printf.printf "\n=== E17 engine determinism vs %s (exact) ===\n"
+    baseline_file;
+  check_e17 ~current ~baseline:doc ~failed;
   if !failed then begin
     Printf.printf
       "anchor check FAILED: regenerate the baseline (see EXPERIMENTS.md) if \
@@ -246,129 +293,6 @@ let check_anchors reports ~baseline_file =
     exit 1
   end
   else Printf.printf "anchor check passed.\n"
-
-(* ------------------------------------------------------------------ *)
-(* bench sim: raw sharded-engine throughput (BENCH_sim.json)           *)
-(* ------------------------------------------------------------------ *)
-
-(* One fixed open-loop workload per domain count. Two kinds of numbers
-   come out: the kernel counters and the traffic result, which are
-   deterministic (identical for every domain count and every run on
-   every host), and the wall-clock events/sec, which is whatever the
-   host gives. The --check gate therefore compares the deterministic
-   fields EXACTLY (0.0%% tolerance — this is the engine-determinism
-   regression gate) and prints the rates purely for information. *)
-
-module Shard_gen = Udma_traffic.Shard_gen
-
-let sim_deterministic_fields =
-  [ "events"; "windows"; "cross_posts"; "shards"; "injected"; "delivered";
-    "mean_latency"; "p99" ]
-
-let sim_report ~nodes ~load ~window ~seed ~domains_list =
-  let send_cycles = Load_gen.calibrate ~msg_bytes:256 () in
-  let cfg =
-    {
-      Load_gen.default_config with
-      Load_gen.nodes;
-      window_cycles = window;
-      arrival =
-        Udma_traffic.Arrival.Poisson
-          { per_kcycle = load *. 1000.0 /. float_of_int send_cycles };
-      rx_credits = None;
-      seed;
-    }
-  in
-  let rows =
-    List.map
-      (fun domains ->
-        let t0 = Unix.gettimeofday () in
-        let result, ks = Shard_gen.run_stats ~domains ~send_cycles cfg in
-        let wall = Unix.gettimeofday () -. t0 in
-        let evps =
-          if wall > 0.0 then float_of_int ks.Shard_gen.events /. wall else 0.0
-        in
-        [
-          ("domains", Report.Int domains);
-          ("events", Report.Int ks.Shard_gen.events);
-          ("windows", Report.Int ks.Shard_gen.windows);
-          ("cross_posts", Report.Int ks.Shard_gen.cross_posts);
-          ("shards", Report.Int ks.Shard_gen.shards);
-          ("injected", Report.Int result.Load_gen.injected);
-          ("delivered", Report.Int result.Load_gen.delivered);
-          ("mean_latency", Report.Float result.Load_gen.mean_latency);
-          ("p99", Report.Int result.Load_gen.p99_latency);
-          ("wall_ms", Report.Float (wall *. 1000.0));
-          ("events_per_sec", Report.Float evps);
-        ])
-      domains_list
-  in
-  Report.make ~id:"sim_throughput"
-    ~title:
-      (Printf.sprintf
-         "bench sim: sharded engine, %d-node mesh at load %.1f, %d-cycle \
-          window" nodes load window)
-    ~meta:
-      [
-        ("nodes", Report.Int nodes);
-        ("load", Report.Float load);
-        ("window_cycles", Report.Int window);
-        ("send_cycles", Report.Int send_cycles);
-        ("seed", Report.Int seed);
-        ("host_cores", Report.Int (Domain.recommended_domain_count ()));
-      ]
-    ~columns:
-      [
-        ("domains", "domains");
-        ("events", "events");
-        ("windows", "windows");
-        ("cross_posts", "x-posts");
-        ("delivered", "delivered");
-        ("events_per_sec", "events/s");
-      ]
-    rows
-
-let sim_check report ~baseline_file =
-  let sim_rows = rows_of "sim_throughput" in
-  let base_rows = sim_rows (read_baseline ~who:"sim --check" baseline_file) in
-  Printf.printf
-    "\n=== sim determinism gate vs %s (deterministic fields, exact) ===\n"
-    baseline_file;
-  let failed = ref false in
-  List.iter
-    (fun row ->
-      let domains =
-        Option.fold ~none:(-1) ~some:int_of_float (num "domains" row)
-      in
-      let base_row =
-        List.find_opt (num_is "domains" (float_of_int domains)) base_rows
-      in
-      match base_row with
-      | None ->
-          failed := true;
-          Printf.printf "domains=%d: missing from baseline\n" domains
-      | Some base ->
-          List.iter
-            (fun field ->
-              let cur = num field row in
-              let ref_ = num field base in
-              let ok = cur <> None && cur = ref_ in
-              if not ok then failed := true;
-              Printf.printf "domains=%d %-14s baseline %12s  current %12s  %s\n"
-                domains field
-                (match ref_ with Some v -> Printf.sprintf "%.6g" v | None -> "-")
-                (match cur with Some v -> Printf.sprintf "%.6g" v | None -> "-")
-                (if ok then "ok" else "MISMATCH"))
-            sim_deterministic_fields)
-    (sim_rows (Report.bench_json [ report ]));
-  if !failed then begin
-    Printf.printf
-      "sim determinism gate FAILED: the sharded engine's results moved. If \
-       the change is an intended model change, regenerate BENCH_sim.json \
-       (see EXPERIMENTS.md E17).\n";
-    exit 1
-  end
-  else Printf.printf "sim determinism gate passed.\n"
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -447,100 +371,13 @@ let () =
       & opt (some string) None
       & info [ "check" ] ~docv:"FILE"
           ~doc:"Diff the paper anchors of this run (the $(b,anchors) table \
-                in bench/main.ml) against the baseline document $(docv); \
-                exit 1 on >±2% drift.")
+                in bench/main.ml) against the baseline document $(docv) and \
+                compare E17's deterministic engine columns exactly; exit 1 \
+                on >±2% anchor drift or any E17 mismatch.")
   in
   let default_term = Term.(const run $ json $ out $ quick $ seed $ check) in
-  let sim_cmd =
-    let nodes =
-      Arg.(
-        value & opt int 256
-        & info [ "nodes" ] ~docv:"N"
-            ~doc:"Mesh size for the throughput workload (default 256 = 16x16).")
-    in
-    let load =
-      Arg.(
-        value & opt float 0.9
-        & info [ "load" ] ~docv:"L"
-            ~doc:"Offered load as a fraction of per-source capacity.")
-    in
-    let window =
-      Arg.(
-        value & opt int 20_000
-        & info [ "window" ] ~docv:"CYCLES" ~doc:"Measurement window.")
-    in
-    let sim_seed =
-      Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-    in
-    let domains_list =
-      Arg.(
-        value
-        & opt (list int) [ 1; 2 ]
-        & info [ "domains" ] ~docv:"N,..."
-            ~doc:"Worker-domain counts to run, one row each.")
-    in
-    let sim_out =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "out" ] ~docv:"FILE"
-            ~doc:"Write the run as a udma-bench/1 JSON document \
-                  (default BENCH_sim.json when --json is set).")
-    in
-    let sim_json =
-      Arg.(
-        value & flag
-        & info [ "json" ] ~doc:"Write JSON instead of printing the table.")
-    in
-    let sim_check_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "check" ] ~docv:"FILE"
-            ~doc:
-              "Compare the deterministic engine counters of this run against \
-               the baseline document $(docv) EXACTLY (the engine-determinism \
-               gate); exit 1 on any mismatch. Wall-clock rates are never \
-               gated.")
-    in
-    let sim_run sim_json sim_out nodes load window sim_seed domains_list
-        sim_check_arg =
-      let report =
-        sim_report ~nodes ~load ~window ~seed:sim_seed ~domains_list
-      in
-      if sim_json then begin
-        let path = Option.value sim_out ~default:"BENCH_sim.json" in
-        let doc =
-          Report.bench_json
-            ~meta:
-              [
-                ("generator", Report.Str "bench sim");
-                ("seed", Report.Int sim_seed);
-              ]
-            [ report ]
-        in
-        let oc = open_out path in
-        output_string oc (Json.to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end
-      else Report.print report;
-      match sim_check_arg with
-      | Some baseline_file -> sim_check report ~baseline_file
-      | None -> ()
-    in
-    Cmd.v
-      (Cmd.info "sim"
-         ~doc:
-           "Raw sharded-engine throughput (events/sec) per domain count; \
-            deterministic counters are the BENCH_sim.json anchor set.")
-      Term.(
-        const sim_run $ sim_json $ sim_out $ nodes $ load $ window $ sim_seed
-        $ domains_list $ sim_check_arg)
-  in
   let info =
     Cmd.info "bench" ~version:"1.0.0"
       ~doc:"Regenerate the paper's evaluation; emit/check JSON reports."
   in
-  exit (Cmd.eval (Cmd.group ~default:default_term info [ sim_cmd ]))
+  exit (Cmd.eval (Cmd.v info default_term))

@@ -76,6 +76,28 @@ let emit_reports c mk =
         output_char oc '\n')
   else with_out c (fun oc -> List.iter (Report.print ~oc) reports)
 
+(* Every report validates its configs before the first simulation
+   runs, so an [Invalid_argument] here is a knob outside its range: a
+   usage error (exit 124) that names the field. *)
+let emit_checked c mk =
+  match emit_reports c mk with
+  | () -> `Ok ()
+  | exception Invalid_argument msg -> `Error (true, msg)
+
+(* A flag for one field of an experiment's config record. Absent, the
+   field keeps the value of the record the run starts from (the full
+   set, or the registry's quick set under --quick); the help shows
+   [shown], the full set's value. *)
+let knob kind ?(shown = "") name ~docv ~doc =
+  Arg.(value & opt (some ~none:shown kind) None & info [ name ] ~docv ~doc)
+
+let int_knob name field ~docv ~doc =
+  knob Arg.int ~shown:(string_of_int field) name ~docv ~doc
+
+let ( |? ) o default = Option.value o ~default
+
+let ints l = String.concat "," (List.map string_of_int l)
+
 let sizes_arg ~doc default =
   Arg.(value & opt (list int) default & info [ "sizes" ] ~docv:"BYTES,..." ~doc)
 
@@ -130,7 +152,7 @@ let queueing_term =
   let depths =
     Arg.(
       value
-      & opt (list int) [ 2; 4; 8; 16 ]
+      & opt (list int) Runner.queue_depths
       & info [ "depths" ] ~docv:"D,..." ~doc:"Hardware queue depths.")
   in
   let run c sizes depths =
@@ -139,19 +161,19 @@ let queueing_term =
   in
   Term.(
     const run $ common_term
-    $ sizes_arg ~doc:"Total transfer sizes." [ 8192; 16384; 32768; 65536 ]
+    $ sizes_arg ~doc:"Total transfer sizes." Runner.queueing_totals
     $ depths)
 
 let atomicity_term =
   let probs =
     Arg.(
       value
-      & opt (list int) [ 0; 5; 10; 20; 30; 50 ]
+      & opt (list int) Runner.preempt_pcts
       & info [ "probs" ] ~docv:"PCT,..." ~doc:"Preemption probabilities (%).")
   in
   let transfers =
     Arg.(
-      value & opt int 200
+      value & opt int Runner.atomicity_transfers
       & info [ "transfers" ] ~docv:"N" ~doc:"Transfers per probability point.")
   in
   let run c probs transfers =
@@ -319,23 +341,20 @@ let traffic_term =
              — or a larger mesh — dispatches to the sharded conservative \
              kernel, whose results are identical for every domain count.")
   in
-  (* a knob outside its engine's range is a usage error naming the
-     field, raised by [Sweep.run] before any simulation *)
   let run c loads domains cfg =
-    match
-      emit_reports c (fun () ->
-          [
-            Runner.report_saturation ~loads ~domains
-              { cfg with Udma_traffic.Load_gen.seed = c.seed };
-          ])
-    with
-    | () -> `Ok ()
-    | exception Invalid_argument msg -> `Error (true, msg)
+    emit_checked c (fun () ->
+        [
+          Runner.report_saturation ~loads ~domains
+            { cfg with Udma_traffic.Load_gen.seed = c.seed };
+        ])
   in
   Term.(ret (const run $ common_term $ loads $ domains $ traffic_config_term))
 
 let tenants_term =
   let module Backend = Udma_protect.Backend in
+  let module Tenants = Udma_protect.Tenants in
+  let counts, d = Runner.tenants_sweep ~quick:false in
+  let quick_counts, q = Runner.tenants_sweep ~quick:true in
   let backend_conv =
     Arg.conv
       ( (fun s -> Backend.parse_kind s |> Result.map_error (fun e -> `Msg e)),
@@ -346,8 +365,11 @@ let tenants_term =
       value & flag
       & info [ "quick" ]
           ~doc:
-            "Use the small deterministic CI parameter set (8 and 256 \
-             tenants, 4000 ops).")
+            (Printf.sprintf
+               "Use the small deterministic CI parameter set (%s tenants, %d \
+                ops)."
+               (String.concat " and " (List.map string_of_int quick_counts))
+               q.ops))
   in
   let backends =
     Arg.(
@@ -359,68 +381,59 @@ let tenants_term =
              $(b,capability) (default: all three).")
   in
   let tenants =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "tenants" ] ~docv:"N,..."
-          ~doc:
-            "Tenant counts to sweep (default 8,64,256,1024; $(b,--quick) \
-             uses 8,256).")
+    knob Arg.(list int) "tenants" ~docv:"N,..."
+      ~doc:
+        (Printf.sprintf
+           "Tenant counts to sweep (default %s; $(b,--quick) uses %s)."
+           (ints counts) (ints quick_counts))
   in
   let slots =
-    Arg.(
-      value & opt int 64
-      & info [ "slots" ] ~docv:"N"
-          ~doc:"Destination-table slots shared by all tenants.")
+    int_knob "slots" d.slots ~docv:"N"
+      ~doc:"Destination-table slots shared by all tenants."
   in
   let ops =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ops" ] ~docv:"N"
-          ~doc:
-            "Operations per (backend, tenant count) point (default 20000; \
-             $(b,--quick) uses 4000).")
+    knob Arg.int "ops" ~docv:"N"
+      ~doc:
+        (Printf.sprintf
+           "Operations per (backend, tenant count) point (default %d; \
+            $(b,--quick) uses %d)."
+           d.ops q.ops)
   in
   let churn =
-    Arg.(
-      value & opt int 8
-      & info [ "churn" ] ~docv:"PCT"
-          ~doc:"Per-op probability of descheduling a tenant (%).")
+    int_knob "churn" d.churn_pct ~docv:"PCT"
+      ~doc:"Per-op probability of descheduling a tenant (%)."
   in
   let evict =
-    Arg.(
-      value & opt int 4
-      & info [ "evict" ] ~docv:"PCT"
-          ~doc:"Per-op probability of evicting a table slot (%).")
+    int_knob "evict" d.evict_pct ~docv:"PCT"
+      ~doc:"Per-op probability of evicting a table slot (%)."
   in
   let rogue =
-    Arg.(
-      value & opt int 4
-      & info [ "rogue" ] ~docv:"PCT"
-          ~doc:"Per-op probability of a rogue cross-tenant probe (%).")
+    int_knob "rogue" d.rogue_pct ~docv:"PCT"
+      ~doc:"Per-op probability of a rogue cross-tenant probe (%)."
   in
-  let run c quick backends tenants slots ops churn evict rogue =
-    let tenant_counts =
-      match tenants with
-      | Some l -> l
-      | None -> if quick then [ 8; 256 ] else [ 8; 64; 256; 1024 ]
-    in
-    let ops =
-      match ops with Some n -> n | None -> if quick then 4000 else 20_000
-    in
-    let kinds =
-      match backends with Some l -> l | None -> Backend.all_kinds
-    in
-    emit_reports c (fun () ->
+  let sweep quick tenants slots ops churn evict rogue =
+    let counts, b = Runner.tenants_sweep ~quick in
+    ( tenants |? counts,
+      {
+        b with
+        Tenants.slots = slots |? b.slots;
+        ops = ops |? b.ops;
+        churn_pct = churn |? b.churn_pct;
+        evict_pct = evict |? b.evict_pct;
+        rogue_pct = rogue |? b.rogue_pct;
+      } )
+  in
+  let run c kinds (tenant_counts, cfg) =
+    emit_checked c (fun () ->
         [
-          Runner.report_tenants ~tenant_counts ~kinds ~slots ~ops
-            ~churn_pct:churn ~evict_pct:evict ~rogue_pct:rogue ~seed:c.seed ();
+          Runner.report_tenants ~tenant_counts ?kinds
+            { cfg with Tenants.seed = c.seed };
         ])
   in
   Term.(
-    const run $ common_term $ quick $ backends $ tenants $ slots $ ops $ churn
-    $ evict $ rogue)
+    ret
+      (const run $ common_term $ backends
+      $ (const sweep $ quick $ tenants $ slots $ ops $ churn $ evict $ rogue)))
 
 let shapes_term =
   let quick =
@@ -442,7 +455,7 @@ let shapes_term =
   let strides =
     Arg.(
       value
-      & opt (list int) [ 2; 4; 8; 16; 32; 64 ]
+      & opt (list int) Runner.shape_strides
       & info [ "stride" ] ~docv:"FACTORS"
           ~doc:
             "Stride factors for the strided family (the source reads 64 \
@@ -451,7 +464,7 @@ let shapes_term =
   let sg_elems =
     Arg.(
       value
-      & opt (list int) [ 2; 4; 16; 64; 256 ]
+      & opt (list int) Runner.shape_sg_counts
       & info [ "sg-elems" ] ~docv:"COUNTS"
           ~doc:
             "Scatter-gather element counts across the whole transfer (each \
@@ -459,40 +472,37 @@ let shapes_term =
   in
   let total =
     Arg.(
-      value & opt int 8192
+      value & opt int Runner.shape_total
       & info [ "total" ] ~docv:"BYTES"
           ~doc:"Total bytes moved per shape (a page multiple).")
   in
   let run c quick kinds strides sg_elems total =
-    let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-    if total <= 0 || total mod 4096 <> 0 then
-      fail "shapes: --total %d is not a positive page multiple" total;
-    List.iter
-      (fun f ->
-        if f <= 0 || 64 mod f <> 0 then
-          fail "shapes: --stride factor %d does not divide 64" f)
-      strides;
-    List.iter
-      (fun n ->
-        if n < 2 || n mod 2 <> 0 || 4096 mod (n / 2) <> 0 then
-          fail "shapes: --sg-elems %d is not twice a divisor of the page" n)
-      sg_elems;
-    let cases =
-      if quick then Runner.quick_shape_cases
-      else
-        List.concat_map
-          (function
-            | `Contig -> [ Runner.Shape_contig ]
-            | `Strided -> List.map (fun f -> Runner.Shape_strided f) strides
-            | `Sg -> List.map (fun n -> Runner.Shape_sg n) sg_elems)
-          kinds
-    in
-    emit_reports c (fun () -> [ Runner.report_shapes ~total ~cases () ])
+    let strided = List.map (fun f -> Runner.Shape_strided f) strides in
+    let sg = List.map (fun n -> Runner.Shape_sg n) sg_elems in
+    emit_checked c (fun () ->
+        (* every given factor and count is checked, also those of a
+           family that --shape or --quick leaves out *)
+        Runner.validate_shapes ~total (strided @ sg);
+        let cases =
+          if quick then Runner.quick_shape_cases
+          else
+            List.concat_map
+              (function
+                | `Contig -> [ Runner.Shape_contig ]
+                | `Strided -> strided
+                | `Sg -> sg)
+              kinds
+        in
+        [ Runner.report_shapes ~total ~cases () ])
   in
   Term.(
-    const run $ common_term $ quick $ shape_kinds $ strides $ sg_elems $ total)
+    ret
+      (const run $ common_term $ quick $ shape_kinds $ strides $ sg_elems
+      $ total))
 
 let apps_term =
+  let module Kv = Udma_app.Kv in
+  let d = (Runner.apps_sweep ~quick:false).kv in
   let quick =
     Arg.(
       value & flag
@@ -510,70 +520,51 @@ let apps_term =
              VC-contrast table.")
   in
   let nodes =
-    Arg.(
-      value & opt int 16
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Mesh size, 2..64, filling complete rows of the squarest \
-             covering mesh (4, 6, 9, 12, 16, ...).")
+    int_knob "nodes" d.fabric.nodes ~docv:"N"
+      ~doc:
+        "Mesh size, 2..64, filling complete rows of the squarest covering \
+         mesh (4, 6, 9, 12, 16, ...)."
   in
   let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"KV server shards, on nodes 0..N-1 (default: one per node).")
+    knob Arg.int "shards" ~docv:"N"
+      ~doc:"KV server shards, on nodes 0..N-1 (default: one per node)."
   in
   let value_bytes =
-    Arg.(
-      value & opt int 2048
-      & info [ "value-bytes" ] ~docv:"BYTES"
-          ~doc:"KV value size; a 4-byte multiple (requests must still fit \
-                one page).")
+    int_knob "value-bytes" d.value_bytes ~docv:"BYTES"
+      ~doc:"KV value size; a 4-byte multiple (requests must still fit one \
+            page)."
   in
   let slo =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo" ] ~docv:"MULT"
-          ~doc:
-            "SLO multiple: the knee is the first sustained load whose p99 \
-             exceeds MULT times the lightest load's p50 (default 5.0).")
+    knob Arg.float "slo" ~docv:"MULT"
+      ~doc:
+        (Printf.sprintf
+           "SLO multiple: the knee is the first sustained load whose p99 \
+            exceeds MULT times the lightest load's p50 (default %.1f)."
+           Udma_app.Slo.default_slo)
   in
   let loads =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "loads" ] ~docv:"L,..."
-          ~doc:
-            "Offered loads to sweep (halo caps at 1.0; applied to the halo \
-             sweep only with an explicit $(b,--app) halo).")
+    knob Arg.(list float) "loads" ~docv:"L,..."
+      ~doc:
+        "Offered loads to sweep (halo caps at 1.0; applied to the halo sweep \
+         only with an explicit $(b,--app) halo)."
   in
   let vcs =
-    Arg.(
-      value & opt int 1
-      & info [ "vcs" ] ~docv:"N"
-          ~doc:"Virtual channels per directed mesh link for the KV sweep, \
-                1..4.")
+    int_knob "vcs" d.fabric.vc_count ~docv:"N"
+      ~doc:"Virtual channels per directed mesh link for the KV sweep, 1..4."
   in
   let hot_pct =
-    Arg.(
-      value & opt int 0
-      & info [ "hot-pct" ] ~docv:"PCT"
-          ~doc:"Share of KV key draws pinned to shard 0 (the hotspot).")
+    int_knob "hot-pct" d.hot_pct ~docv:"PCT"
+      ~doc:"Share of KV key draws pinned to shard 0 (the hotspot)."
   in
   let write_pct =
-    Arg.(
-      value & opt int 10
-      & info [ "write-pct" ] ~docv:"PCT" ~doc:"Share of KV ops that write.")
+    int_knob "write-pct" d.write_pct ~docv:"PCT"
+      ~doc:"Share of KV ops that write."
   in
   let link_per_word =
-    Arg.(
-      value & opt int 1
-      & info [ "link-per-word" ] ~docv:"CYCLES"
-          ~doc:
-            "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
-             bottleneck on the wires, the VC regime).")
+    int_knob "link-per-word" d.fabric.link_per_word ~docv:"CYCLES"
+      ~doc:
+        "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
+         bottleneck on the wires, the VC regime)."
   in
   let chaos =
     Arg.(
@@ -585,46 +576,47 @@ let apps_term =
   in
   let run c quick app nodes shards value_bytes slo loads vcs hot_pct write_pct
       link_per_word chaos =
-    let seed = c.seed in
-    let sweep_loads =
-      match loads with
-      | Some l -> l
-      | None ->
-          if quick then [ 0.3; 0.8 ] else Runner.app_default_loads
+    let a =
+      Runner.map_app_fabrics
+        (fun f -> { f with nodes = nodes |? f.nodes; seed = c.seed })
+        (Runner.apps_sweep ~quick)
     in
-    let kv () =
-      Runner.report_kv ~loads:sweep_loads ~nodes ?shards ~value_bytes
-        ~write_pct ~hot_pct ~vcs ~link_per_word ?slo
-        ~window_cycles:(if quick then 30_000 else 60_000)
-        ~chaos ~seed ()
+    let kv = a.kv in
+    let kv =
+      {
+        kv with
+        fabric =
+          {
+            kv.fabric with
+            vc_count = vcs |? kv.fabric.vc_count;
+            link_per_word = link_per_word |? kv.fabric.link_per_word;
+          };
+        shards = shards |? kv.fabric.nodes;
+        value_bytes = value_bytes |? kv.value_bytes;
+        write_pct = write_pct |? kv.write_pct;
+        hot_pct = hot_pct |? kv.hot_pct;
+        chaos_links = chaos || kv.chaos_links;
+      }
     in
-    let halo () =
-      Runner.report_halo
-        ?loads:
-          (if app = Some `Halo then loads
-           else if quick then Some [ 0.5 ]
-           else None)
-        ?slo ~nodes
-        ~iterations:(if quick then 12 else 30)
-        ~seed ()
+    let a =
+      {
+        a with
+        kv;
+        (* the VC table keeps one shard per node *)
+        kv_vcs =
+          Option.map (fun (v : Kv.config) -> { v with shards = v.fabric.nodes })
+            a.kv_vcs;
+        loads = loads |? a.loads;
+        halo_loads =
+          (if app = Some `Halo then loads |? a.halo_loads else a.halo_loads);
+      }
     in
-    let rpc () =
-      Runner.report_rpc ~loads:sweep_loads ~nodes ?slo
-        ~window_cycles:(if quick then 100_000 else 200_000)
-        ~seed ()
-    in
-    emit_reports c (fun () ->
-        match app with
-        | Some `Kv -> [ kv () ]
-        | Some `Halo -> [ halo () ]
-        | Some `Rpc -> [ rpc () ]
-        | None ->
-            [ kv (); halo (); rpc () ]
-            @ if quick then [] else [ Runner.report_kv_vcs ~nodes ~seed () ])
+    emit_checked c (fun () -> Runner.report_apps ?slo ?only:app a)
   in
   Term.(
-    const run $ common_term $ quick $ app_sel $ nodes $ shards $ value_bytes
-    $ slo $ loads $ vcs $ hot_pct $ write_pct $ link_per_word $ chaos)
+    ret
+      (const run $ common_term $ quick $ app_sel $ nodes $ shards $ value_bytes
+      $ slo $ loads $ vcs $ hot_pct $ write_pct $ link_per_word $ chaos))
 
 let custom_terms =
   [

@@ -42,6 +42,10 @@ val default_config : config
 (** 16 nodes, 1 VC, 8 credits, dimension-order, [link_per_word] 1,
     contention on, seed 42. *)
 
+val validate : config -> unit
+(** Raises [Invalid_argument] naming the first field outside its
+    documented range. *)
+
 type t
 
 val create : config -> pairs:(int * int) list -> t

@@ -35,6 +35,7 @@ type result = {
 }
 
 let validate cfg =
+  Fabric.validate cfg.fabric;
   if cfg.tile_rows < 1 then invalid_arg "Halo: tile_rows must be >= 1";
   if cfg.row_bytes <= 0 || cfg.row_bytes land 3 <> 0 then
     invalid_arg "Halo: row_bytes must be a positive 4-byte multiple";

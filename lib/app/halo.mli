@@ -50,6 +50,10 @@ type result = {
   drained : bool;  (** every node finished every iteration *)
 }
 
+val validate : config -> unit
+(** Raises [Invalid_argument] naming the first field (fabric included)
+    outside its documented range; {!run} calls it first. *)
+
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the
     fabric's engine before the run (for cycle-breakdown collection).

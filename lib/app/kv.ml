@@ -48,6 +48,7 @@ type result = {
 }
 
 let validate cfg =
+  Fabric.validate cfg.fabric;
   let nodes = cfg.fabric.Fabric.nodes in
   if cfg.shards < 1 || cfg.shards > nodes then
     invalid_arg "Kv: shards must be in 1..nodes";

@@ -40,6 +40,7 @@ type result = {
 }
 
 let validate cfg =
+  Fabric.validate cfg.fabric;
   if cfg.req_bytes <= 0 || cfg.req_bytes land 3 <> 0 then
     invalid_arg "Rpc: req_bytes must be a positive 4-byte multiple";
   if cfg.resp_bytes <= 0 || cfg.resp_bytes land 3 <> 0 || cfg.resp_bytes > 4092

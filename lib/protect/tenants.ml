@@ -67,14 +67,18 @@ type t = {
   mutable breaches : int;
 }
 
-let create cfg =
-  if cfg.tenants <= 0 then invalid_arg "Tenants.create: tenants must be positive";
-  if cfg.slots <= 0 then invalid_arg "Tenants.create: slots must be positive";
-  if cfg.ops <= 0 then invalid_arg "Tenants.create: ops must be positive";
+let validate cfg =
+  if cfg.tenants <= 0 then invalid_arg "Tenants: tenants must be positive";
+  if cfg.slots <= 0 then invalid_arg "Tenants: slots must be positive";
+  if cfg.ops <= 0 then invalid_arg "Tenants: ops must be positive";
   if cfg.churn_pct < 0 || cfg.evict_pct < 0 || cfg.rogue_pct < 0 then
-    invalid_arg "Tenants.create: negative injection rate";
+    invalid_arg
+      "Tenants: negative injection rate (churn_pct/evict_pct/rogue_pct)";
   if cfg.churn_pct + cfg.evict_pct + cfg.rogue_pct > 100 then
-    invalid_arg "Tenants.create: injection rates exceed 100%";
+    invalid_arg "Tenants: churn_pct + evict_pct + rogue_pct exceeds 100%"
+
+let create cfg =
+  validate cfg;
   {
     cfg;
     backend = Backend.create ~costs:cfg.bcosts cfg.kind ~entries:cfg.slots ();

@@ -74,11 +74,15 @@ val percentile : int array -> float -> int
     [n < 1000] — the result is exactly the sample maximum. [0] on the
     empty sample. *)
 
-val run : config -> result
-(** The whole sweep loop; deterministic (equal configs give equal
-    results, byte for byte). Raises [Invalid_argument] on nonpositive
+val validate : config -> unit
+(** Raises [Invalid_argument] naming the field on nonpositive
     [tenants]/[slots]/[ops], a negative injection rate, or rates
     summing past 100%. *)
+
+val run : config -> result
+(** The whole sweep loop; deterministic (equal configs give equal
+    results, byte for byte). Raises [Invalid_argument] as
+    {!validate}. *)
 
 (** {1 Single-step interface (the qcheck surface)} *)
 

@@ -18,7 +18,8 @@ module Router = Udma_shrimp.Router
    event order per link. The two models agree on uncontended latency
    (both telescope to base + hops·per_hop + words·per_word) but
    resolve contention differently, so sharded results are anchored
-   separately (BENCH_sim.json) rather than against the legacy knees.
+   separately (E17's rows of BENCH_baseline.json) rather than against
+   the legacy knees.
 
    Determinism: per-node RNG streams come from {!Rng.substream} (and
    draws use the unbiased reduction), so they depend only on

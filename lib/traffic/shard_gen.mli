@@ -12,8 +12,8 @@
       path atomically at send time against global link state (the
       unshardable part). Both telescope to the same uncontended
       latency; under contention they resolve queueing differently, so
-      sharded results are anchored in [BENCH_sim.json], not against
-      legacy knees.
+      sharded results are anchored through E17's rows of
+      [BENCH_baseline.json], not against legacy knees.
     - Supported config subset: dimension-order routing, one VC,
       unlimited rx credits, open-loop arrivals, no link faults.
       Anything else raises [Invalid_argument] naming the legacy
@@ -55,4 +55,4 @@ val run_stats :
   Load_gen.config ->
   Load_gen.result * kernel_stats
 (** As {!run}, also returning the kernel's event/window counters for
-    the [bench sim] events/sec metric. *)
+    the E17 events/sec metric. *)

@@ -538,12 +538,14 @@ let queueing_core ~total_sizes ~depths p =
       })
     total_sizes
 
-let queueing ?(total_sizes = [ 8192; 16384; 32768; 65536 ])
-    ?(depths = [ 2; 4; 8; 16 ]) () =
+let queueing_totals = [ 8192; 16384; 32768; 65536 ]
+let queue_depths = [ 2; 4; 8; 16 ]
+
+let queueing ?(total_sizes = queueing_totals) ?(depths = queue_depths) () =
   queueing_core ~total_sizes ~depths (probe ())
 
-let report_queueing ?(total_sizes = [ 8192; 16384; 32768; 65536 ])
-    ?(depths = [ 2; 4; 8; 16 ]) () =
+let report_queueing ?(total_sizes = queueing_totals) ?(depths = queue_depths)
+    () =
   let p = probe () in
   let rows = queueing_core ~total_sizes ~depths p in
   let depth_field d = Printf.sprintf "depth_%d" d in
@@ -638,12 +640,15 @@ let atomicity_core ~probs_pct ~transfers ~seed p =
       })
     probs_pct
 
-let atomicity ?(probs_pct = [ 0; 5; 10; 20; 30; 50 ]) ?(transfers = 200)
+let preempt_pcts = [ 0; 5; 10; 20; 30; 50 ]
+let atomicity_transfers = 200
+
+let atomicity ?(probs_pct = preempt_pcts) ?(transfers = atomicity_transfers)
     ?(seed = 42) () =
   atomicity_core ~probs_pct ~transfers ~seed (probe ())
 
-let report_atomicity ?(probs_pct = [ 0; 5; 10; 20; 30; 50 ])
-    ?(transfers = 200) ?(seed = 42) () =
+let report_atomicity ?(probs_pct = preempt_pcts)
+    ?(transfers = atomicity_transfers) ?(seed = 42) () =
   let p = probe () in
   let rows = atomicity_core ~probs_pct ~transfers ~seed p in
   Report.make ~id:"e6_atomicity"
@@ -877,10 +882,13 @@ let i3_core ~transfers ~pages p =
     i3_run ~policy:M.Proxy_dirty_union ~transfers ~pages p;
   ]
 
-let i3_policies ?(transfers = 64) ?(pages = 4) () =
+let i3_transfers = 64
+let i3_pages = 4
+
+let i3_policies ?(transfers = i3_transfers) ?(pages = i3_pages) () =
   i3_core ~transfers ~pages (probe ())
 
-let report_i3 ?(transfers = 64) ?(pages = 4) () =
+let report_i3 ?(transfers = i3_transfers) ?(pages = i3_pages) () =
   let p = probe () in
   let rows = i3_core ~transfers ~pages p in
   Report.make ~id:"e9_i3_policies"
@@ -1397,56 +1405,63 @@ let report_flit ?(load = 0.5) ?(hot_pct = 50) ?(vc_counts = [ 1; 2; 4 ])
    Proxy pays only at grant time (syscall + proxy fault on recovery);
    the IOMMU pays the IOTLB walk on cold initiations and map/unmap on
    churn; capabilities pay a per-transfer check plus grant/revoke. *)
-let report_tenants ?(tenant_counts = [ 8; 64; 256; 1024 ])
-    ?(kinds = Backend.all_kinds) ?(slots = 64) ?(ops = 20_000)
-    ?(churn_pct = 8) ?(evict_pct = 4) ?(rogue_pct = 4) ?(seed = 42) () =
+let default_tenant_counts = [ 8; 64; 256; 1024 ]
+
+(* The configs a report sweeps, every one checked before the first
+   simulation runs, so a bad knob costs no work. *)
+let checked validate points =
+  List.iter validate points;
+  points
+
+let report_tenants ?(tenant_counts = default_tenant_counts)
+    ?(kinds = Backend.all_kinds) (cfg : Tenants.config) =
+  let points =
+    checked Tenants.validate
+      (List.concat_map
+         (fun kind ->
+           List.map (fun tenants -> { cfg with Tenants.kind; tenants })
+             tenant_counts)
+         kinds)
+  in
   let rows =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun tenants ->
-            let r =
-              Tenants.run
-                { Tenants.default_config with
-                  Tenants.kind; tenants; slots; ops; churn_pct; evict_pct;
-                  rogue_pct; seed }
-            in
-            let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b in
-            [
-              ("backend", vs (Backend.kind_name kind));
-              ("tenants", vi tenants);
-              ("sends", vi r.Tenants.sends);
-              ("p50", vi r.Tenants.p50);
-              ("p99", vi r.Tenants.p99);
-              ("p999", vi r.Tenants.p999);
-              ("mean", vf r.Tenants.mean);
-              ("fault_pct", vf (pct r.Tenants.faults r.Tenants.sends));
-              ("rogue_probes", vi r.Tenants.rogue_probes);
-              ("rogue_denied", vi r.Tenants.rogue_denied);
-              ("grants", vi r.Tenants.grants);
-              ("invalidations", vi r.Tenants.invalidations);
-              ( "iotlb_hit_pct",
-                vf (pct r.Tenants.iotlb_hits
-                      (r.Tenants.iotlb_hits + r.Tenants.iotlb_misses)) );
-              ("breaches", vi r.Tenants.isolation_breaches);
-            ])
-          tenant_counts)
-      kinds
+    List.map
+      (fun (point : Tenants.config) ->
+        let r = Tenants.run point in
+        let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b in
+        [
+          ("backend", vs (Backend.kind_name point.kind));
+          ("tenants", vi point.tenants);
+          ("sends", vi r.Tenants.sends);
+          ("p50", vi r.Tenants.p50);
+          ("p99", vi r.Tenants.p99);
+          ("p999", vi r.Tenants.p999);
+          ("mean", vf r.Tenants.mean);
+          ("fault_pct", vf (pct r.Tenants.faults r.Tenants.sends));
+          ("rogue_probes", vi r.Tenants.rogue_probes);
+          ("rogue_denied", vi r.Tenants.rogue_denied);
+          ("grants", vi r.Tenants.grants);
+          ("invalidations", vi r.Tenants.invalidations);
+          ( "iotlb_hit_pct",
+            vf (pct r.Tenants.iotlb_hits
+                  (r.Tenants.iotlb_hits + r.Tenants.iotlb_misses)) );
+          ("breaches", vi r.Tenants.isolation_breaches);
+        ])
+      points
   in
   Report.make ~id:"e14_tenants"
     ~title:
       (Printf.sprintf
          "E14: multi-tenant protection backends — initiation cost, fault \
           rate and invalidation traffic over %d table slots"
-         slots)
+         cfg.slots)
     ~meta:
       [
-        ("slots", vi slots);
-        ("ops", vi ops);
-        ("churn_pct", vi churn_pct);
-        ("evict_pct", vi evict_pct);
-        ("rogue_pct", vi rogue_pct);
-        ("seed", vi seed);
+        ("slots", vi cfg.slots);
+        ("ops", vi cfg.ops);
+        ("churn_pct", vi cfg.churn_pct);
+        ("evict_pct", vi cfg.evict_pct);
+        ("rogue_pct", vi cfg.rogue_pct);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1581,18 +1596,41 @@ let run_shape ~mode ~total shape p =
   Engine.run_until_idle m.M.engine;
   cycles
 
+let shape_total = 8192
+let shape_strides = [ 2; 4; 8; 16; 32; 64 ]
+let shape_sg_counts = [ 2; 4; 16; 64; 256 ]
+
 let default_shape_cases =
-  [
-    Shape_contig;
-    Shape_strided 2; Shape_strided 4; Shape_strided 8;
-    Shape_strided 16; Shape_strided 32; Shape_strided 64;
-    Shape_sg 2; Shape_sg 4; Shape_sg 16; Shape_sg 64; Shape_sg 256;
-  ]
+  (Shape_contig :: List.map (fun f -> Shape_strided f) shape_strides)
+  @ List.map (fun n -> Shape_sg n) shape_sg_counts
 
 let quick_shape_cases =
   [ Shape_contig; Shape_strided 4; Shape_strided 64; Shape_sg 4; Shape_sg 256 ]
 
+(* The shapes [run_shape] can build: a whole number of pages, a stride
+   factor that splits the 64-byte chunk grid of a page evenly, and an
+   element count that splits each page-sized initiation evenly. *)
+let validate_shapes ~total cases =
+  if total <= 0 || total mod 4096 <> 0 then
+    invalid_arg
+      (Printf.sprintf "E15: total %d is not a positive page multiple" total);
+  List.iter
+    (function
+      | Shape_contig -> ()
+      | Shape_strided f ->
+          if f <= 0 || 64 mod f <> 0 then
+            invalid_arg
+              (Printf.sprintf "E15: stride factor %d does not divide 64" f)
+      | Shape_sg n ->
+          if n < 2 || n mod 2 <> 0 || 4096 mod (n / 2) <> 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "E15: sg element count %d is not twice a divisor of the page"
+                 n))
+    cases
+
 let shapes_core ~total ~cases p =
+  validate_shapes ~total cases;
   let queued_mode = Udma_engine.Queued { depth = 8 } in
   let basic_contig = run_shape ~mode:Udma_engine.Basic ~total Shape_contig p in
   let queued_contig = run_shape ~mode:queued_mode ~total Shape_contig p in
@@ -1616,10 +1654,10 @@ let shapes_core ~total ~cases p =
       })
     cases
 
-let transfer_shapes ?(total = 8192) ?(cases = default_shape_cases) () =
+let transfer_shapes ?(total = shape_total) ?(cases = default_shape_cases) () =
   shapes_core ~total ~cases (probe ())
 
-let report_shapes ?(total = 8192) ?(cases = default_shape_cases) () =
+let report_shapes ?(total = shape_total) ?(cases = default_shape_cases) () =
   let p = probe () in
   let rows = shapes_core ~total ~cases p in
   Report.make ~id:"e15_shapes"
@@ -1669,15 +1707,6 @@ let app_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.2 ]
    it cannot exceed 1 *)
 let halo_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
 
-let app_fabric ~nodes ~vcs ~link_per_word ~seed =
-  {
-    App_fabric.default_config with
-    App_fabric.nodes;
-    vc_count = vcs;
-    link_per_word;
-    seed;
-  }
-
 (* the SLO knee as a report value: the load of the first sustained
    violation, or "none" when the whole sweep holds the SLO *)
 let app_knee ?slo ~loads points =
@@ -1694,309 +1723,335 @@ let app_stat_cells (s : App_slo.stats) =
     ("p999", vi s.App_slo.p999);
   ]
 
-let report_kv ?(loads = app_default_loads) ?(nodes = 16) ?shards
-    ?(clients_per_node = 4) ?(value_bytes = 2048) ?(write_pct = 10)
-    ?(hot_pct = 0) ?(vcs = 1) ?(link_per_word = 1) ?slo
-    ?(window_cycles = 60_000) ?(chaos = false) ?(seed = 42) () =
-  let shards = Option.value shards ~default:nodes in
-  let p = probe () in
-  let send_cycles = ref 0 in
-  let results =
-    List.map
-      (fun load ->
-        let r =
-          Kv.run ~probe:(watch p)
-            {
-              Kv.default_config with
-              Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
-              shards;
-              clients_per_node;
-              value_bytes;
-              write_pct;
-              hot_pct;
-              window_cycles;
-              load;
-              chaos_links = chaos;
-            }
-        in
-        send_cycles := r.Kv.send_cycles;
-        (load, r))
-      loads
+let check_slo slo =
+  Option.iter
+    (fun s -> if not (s > 0.0) then invalid_arg "E16: slo must be > 0")
+    slo
+
+(* Each app report is staged: [stage_*] checks every swept config and
+   the SLO multiple, then returns the simulation, so [report_apps] can
+   reject a bad knob of any app before the first app runs. *)
+let stage_kv ?(loads = app_default_loads) ?slo (cfg : Kv.config) =
+  check_slo slo;
+  let points =
+    checked Kv.validate (List.map (fun load -> { cfg with Kv.load }) loads)
   in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
-  in
-  Report.make ~id:"e16_kv"
-    ~title:
-      (Printf.sprintf
-         "E16: sharded KV store, %d shards on a %d-node mesh — tail latency \
-          vs offered load (zero-copy reads via deliberate update)"
-         shards nodes)
-    ~meta:
-      [
-        ("nodes", vi nodes);
-        ("shards", vi shards);
-        ("clients_per_node", vi clients_per_node);
-        ("value_bytes", vi value_bytes);
-        ("write_pct", vi write_pct);
-        ("hot_pct", vi hot_pct);
-        ("vcs", vi vcs);
-        ("link_per_word", vi link_per_word);
-        ("send_cycles", vi !send_cycles);
-        ("window_cycles", vi window_cycles);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("chaos", vb chaos);
-        ("seed", vi seed);
-      ]
-    ~columns:
-      [
-        ("load", "load");
-        ("n", "reqs");
-        ("p50", "p50");
-        ("p95", "p95");
-        ("p99", "p99");
-        ("p999", "p999");
-        ("cold_p99", "cold p99");
-        ("tput", "req/node/kcyc");
-        ("credit_stalls", "stalls");
-        ("drained", "drained");
-      ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun (load, r) ->
-         (("load", vf load) :: app_stat_cells r.Kv.stats)
-         @ [
-             ("cold_p99", vi r.Kv.cold_stats.App_slo.p99);
-             ("tput", vf r.Kv.throughput_per_kcycle);
-             ("credit_stalls", vi r.Kv.credit_stalls);
-             ("drained", vb r.Kv.drained);
-           ])
-       results)
+  fun () ->
+    let p = probe () in
+    let send_cycles = ref 0 in
+    let results =
+      List.map
+        (fun (point : Kv.config) ->
+          let r = Kv.run ~probe:(watch p) point in
+          send_cycles := r.Kv.send_cycles;
+          (point.load, r))
+        points
+    in
+    let knee =
+      app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
+    in
+    let f = cfg.fabric in
+    Report.make ~id:"e16_kv"
+      ~title:
+        (Printf.sprintf
+           "E16: sharded KV store, %d shards on a %d-node mesh — tail latency \
+            vs offered load (zero-copy reads via deliberate update)"
+           cfg.shards f.nodes)
+      ~meta:
+        [
+          ("nodes", vi f.nodes);
+          ("shards", vi cfg.shards);
+          ("clients_per_node", vi cfg.clients_per_node);
+          ("value_bytes", vi cfg.value_bytes);
+          ("write_pct", vi cfg.write_pct);
+          ("hot_pct", vi cfg.hot_pct);
+          ("vcs", vi f.vc_count);
+          ("link_per_word", vi f.link_per_word);
+          ("send_cycles", vi !send_cycles);
+          ("window_cycles", vi cfg.window_cycles);
+          ("slo", vf (Option.value slo ~default:App_slo.default_slo));
+          ("slo_knee", knee);
+          ("chaos", vb cfg.chaos_links);
+          ("seed", vi f.seed);
+        ]
+      ~columns:
+        [
+          ("load", "load");
+          ("n", "reqs");
+          ("p50", "p50");
+          ("p95", "p95");
+          ("p99", "p99");
+          ("p999", "p999");
+          ("cold_p99", "cold p99");
+          ("tput", "req/node/kcyc");
+          ("credit_stalls", "stalls");
+          ("drained", "drained");
+        ]
+      ~breakdown:(breakdown p)
+      (List.map
+         (fun (load, r) ->
+           (("load", vf load) :: app_stat_cells r.Kv.stats)
+           @ [
+               ("cold_p99", vi r.Kv.cold_stats.App_slo.p99);
+               ("tput", vf r.Kv.throughput_per_kcycle);
+               ("credit_stalls", vi r.Kv.credit_stalls);
+               ("drained", vb r.Kv.drained);
+             ])
+         results)
+
+let report_kv ?loads ?slo cfg = stage_kv ?loads ?slo cfg ()
 
 (* The E13 head-of-line regime seen from the application: write-heavy
    traffic into a 50 % hotspot shard makes the big (value-carrying)
    transfers converge on the hot node's entry links, so extra VCs let
    cold-shard requests backfill the shared wires — the p99 drop is the
-   app-level payoff of PR 5's flow control. *)
-let report_kv_vcs ?(load = 0.7) ?(nodes = 16) ?(vc_counts = [ 1; 4 ])
-    ?(value_bytes = 2048) ?(hot_pct = 50) ?(link_per_word = 2)
-    ?(window_cycles = 60_000) ?(seed = 42) () =
-  let p = probe () in
-  let rows =
-    List.map
-      (fun vcs ->
-        let r =
-          Kv.run ~probe:(watch p)
-            {
-              Kv.default_config with
-              Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
-              value_bytes;
-              write_pct = 100;
-              hot_pct;
-              window_cycles;
-              load;
-            }
-        in
-        (("vcs", vi vcs) :: app_stat_cells r.Kv.stats)
-        @ [
-            ("cold_p99", vi r.Kv.cold_stats.App_slo.p99);
-            ("credit_stalls", vi r.Kv.credit_stalls);
-            ("drained", vb r.Kv.drained);
-          ])
-      vc_counts
-  in
-  Report.make ~id:"e16_kv_vcs"
-    ~title:
-      (Printf.sprintf
-         "E16: KV hotspot shard (%d%% writes to shard 0) at load %.2f — \
-          virtual channels vs request tail latency"
-         hot_pct load)
-    ~meta:
-      [
-        ("nodes", vi nodes);
-        ("value_bytes", vi value_bytes);
-        ("write_pct", vi 100);
-        ("hot_pct", vi hot_pct);
-        ("link_per_word", vi link_per_word);
-        ("load", vf load);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
-      ]
-    ~columns:
-      [
-        ("vcs", "VCs");
-        ("n", "reqs");
-        ("p50", "p50");
-        ("p95", "p95");
-        ("p99", "p99");
-        ("p999", "p999");
-        ("cold_p99", "cold p99");
-        ("credit_stalls", "stalls");
-        ("drained", "drained");
-      ]
-    ~breakdown:(breakdown p) rows
+   app-level payoff of virtual channels under credit flow control. *)
+let kv_vcs_regime =
+  {
+    Kv.default_config with
+    fabric = { App_fabric.default_config with link_per_word = 2 };
+    write_pct = 100;
+    hot_pct = 50;
+    load = 0.7;
+  }
 
-let report_halo ?(loads = halo_default_loads) ?(nodes = 16) ?(tile_rows = 32)
-    ?(row_bytes = 128) ?(halo_cols = 16) ?(iterations = 30)
-    ?(warmup_iters = 2) ?slo ?(seed = 42) () =
-  let p = probe () in
-  let strided = ref 0 and contig = ref 0 in
-  let results =
-    List.map
-      (fun load ->
-        let r =
-          Halo.run ~probe:(watch p)
-            {
-              Halo.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-              tile_rows;
-              row_bytes;
-              halo_cols;
-              iterations;
-              warmup_iters;
-              load;
-            }
-        in
-        strided := r.Halo.strided_send_cycles;
-        contig := r.Halo.contiguous_send_cycles;
-        (load, r))
-      loads
+let stage_kv_vcs ?(vc_counts = [ 1; 4 ]) (cfg : Kv.config) =
+  let points =
+    checked Kv.validate
+      (List.map
+         (fun vc_count -> { cfg with fabric = { cfg.fabric with vc_count } })
+         vc_counts)
   in
-  (* the compute budget shrinks as the load (send-work share) grows, so
-     raw barrier times are not comparable across loads; the SLO knee is
-     detected on the exchange *overhead* — barrier time minus the
-     compute floor — which isolates what the fabric adds *)
-  let overhead (r : Halo.result) =
-    let c = r.Halo.compute_cycles in
-    let s = r.Halo.stats in
-    {
-      s with
-      App_slo.mean = s.App_slo.mean -. float_of_int c;
-      p50 = s.App_slo.p50 - c;
-      p95 = s.App_slo.p95 - c;
-      p99 = s.App_slo.p99 - c;
-      p999 = s.App_slo.p999 - c;
-      max = s.App_slo.max - c;
-    }
-  in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, overhead r)) results)
-  in
-  Report.make ~id:"e16_halo"
-    ~title:
-      (Printf.sprintf
-         "E16: halo exchange, %dx%d-byte tiles on a %d-node mesh — barrier \
-          latency vs send-work share (east/west halos strided)"
-         tile_rows row_bytes nodes)
-    ~meta:
-      [
-        ("nodes", vi nodes);
-        ("tile_rows", vi tile_rows);
-        ("row_bytes", vi row_bytes);
-        ("halo_cols", vi halo_cols);
-        ("iterations", vi iterations);
-        ("strided_send_cycles", vi !strided);
-        ("contiguous_send_cycles", vi !contig);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("seed", vi seed);
-      ]
-    ~columns:
-      [
-        ("load", "load");
-        ("compute", "compute");
-        ("n", "samples");
-        ("p50", "p50");
-        ("p95", "p95");
-        ("p99", "p99");
-        ("p999", "p999");
-        ("makespan", "makespan");
-        ("credit_stalls", "stalls");
-        ("drained", "drained");
-      ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun (load, r) ->
-         [ ("load", vf load); ("compute", vi r.Halo.compute_cycles) ]
-         @ app_stat_cells r.Halo.stats
-         @ [
-             ("makespan", vi r.Halo.makespan_cycles);
-             ("credit_stalls", vi r.Halo.credit_stalls);
-             ("drained", vb r.Halo.drained);
-           ])
-       results)
+  fun () ->
+    let p = probe () in
+    let rows =
+      List.map
+        (fun (point : Kv.config) ->
+          let r = Kv.run ~probe:(watch p) point in
+          (("vcs", vi point.fabric.vc_count) :: app_stat_cells r.Kv.stats)
+          @ [
+              ("cold_p99", vi r.Kv.cold_stats.App_slo.p99);
+              ("credit_stalls", vi r.Kv.credit_stalls);
+              ("drained", vb r.Kv.drained);
+            ])
+        points
+    in
+    Report.make ~id:"e16_kv_vcs"
+      ~title:
+        (Printf.sprintf
+           "E16: KV hotspot shard (%d%% writes to shard 0) at load %.2f — \
+            virtual channels vs request tail latency"
+           cfg.hot_pct cfg.load)
+      ~meta:
+        [
+          ("nodes", vi cfg.fabric.nodes);
+          ("value_bytes", vi cfg.value_bytes);
+          ("write_pct", vi cfg.write_pct);
+          ("hot_pct", vi cfg.hot_pct);
+          ("link_per_word", vi cfg.fabric.link_per_word);
+          ("load", vf cfg.load);
+          ("window_cycles", vi cfg.window_cycles);
+          ("seed", vi cfg.fabric.seed);
+        ]
+      ~columns:
+        [
+          ("vcs", "VCs");
+          ("n", "reqs");
+          ("p50", "p50");
+          ("p95", "p95");
+          ("p99", "p99");
+          ("p999", "p999");
+          ("cold_p99", "cold p99");
+          ("credit_stalls", "stalls");
+          ("drained", "drained");
+        ]
+      ~breakdown:(breakdown p) rows
 
-let report_rpc ?(loads = app_default_loads) ?(nodes = 16) ?(resp_bytes = 512)
-    ?(server_cycles = 200) ?(burst = 8) ?(pool = 16) ?slo
-    ?(window_cycles = 200_000) ?(seed = 42) () =
-  let p = probe () in
-  let send_cycles = ref 0 in
-  let results =
-    List.map
-      (fun load ->
-        let r =
-          Rpc.run ~probe:(watch p)
-            {
-              Rpc.default_config with
-              Rpc.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-              resp_bytes;
-              server_cycles;
-              burst;
-              pool;
-              window_cycles;
-              load;
-            }
-        in
-        send_cycles := r.Rpc.send_cycles;
-        (load, r))
-      loads
+let report_kv_vcs ?vc_counts cfg = stage_kv_vcs ?vc_counts cfg ()
+
+let stage_halo ?(loads = halo_default_loads) ?slo (cfg : Halo.config) =
+  check_slo slo;
+  let points =
+    checked Halo.validate (List.map (fun load -> { cfg with Halo.load }) loads)
   in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
+  fun () ->
+    let p = probe () in
+    let strided = ref 0 and contig = ref 0 in
+    let results =
+      List.map
+        (fun (point : Halo.config) ->
+          let r = Halo.run ~probe:(watch p) point in
+          strided := r.Halo.strided_send_cycles;
+          contig := r.Halo.contiguous_send_cycles;
+          (point.load, r))
+        points
+    in
+    (* the compute budget shrinks as the load (send-work share) grows, so
+       raw barrier times are not comparable across loads; the SLO knee is
+       detected on the exchange *overhead* — barrier time minus the
+       compute floor — which isolates what the fabric adds *)
+    let overhead (r : Halo.result) =
+      let c = r.Halo.compute_cycles in
+      let s = r.Halo.stats in
+      {
+        s with
+        App_slo.mean = s.App_slo.mean -. float_of_int c;
+        p50 = s.App_slo.p50 - c;
+        p95 = s.App_slo.p95 - c;
+        p99 = s.App_slo.p99 - c;
+        p999 = s.App_slo.p999 - c;
+        max = s.App_slo.max - c;
+      }
+    in
+    let knee =
+      app_knee ?slo ~loads (List.map (fun (l, r) -> (l, overhead r)) results)
+    in
+    Report.make ~id:"e16_halo"
+      ~title:
+        (Printf.sprintf
+           "E16: halo exchange, %dx%d-byte tiles on a %d-node mesh — barrier \
+            latency vs send-work share (east/west halos strided)"
+           cfg.tile_rows cfg.row_bytes cfg.fabric.nodes)
+      ~meta:
+        [
+          ("nodes", vi cfg.fabric.nodes);
+          ("tile_rows", vi cfg.tile_rows);
+          ("row_bytes", vi cfg.row_bytes);
+          ("halo_cols", vi cfg.halo_cols);
+          ("iterations", vi cfg.iterations);
+          ("strided_send_cycles", vi !strided);
+          ("contiguous_send_cycles", vi !contig);
+          ("slo", vf (Option.value slo ~default:App_slo.default_slo));
+          ("slo_knee", knee);
+          ("seed", vi cfg.fabric.seed);
+        ]
+      ~columns:
+        [
+          ("load", "load");
+          ("compute", "compute");
+          ("n", "samples");
+          ("p50", "p50");
+          ("p95", "p95");
+          ("p99", "p99");
+          ("p999", "p999");
+          ("makespan", "makespan");
+          ("credit_stalls", "stalls");
+          ("drained", "drained");
+        ]
+      ~breakdown:(breakdown p)
+      (List.map
+         (fun (load, r) ->
+           [ ("load", vf load); ("compute", vi r.Halo.compute_cycles) ]
+           @ app_stat_cells r.Halo.stats
+           @ [
+               ("makespan", vi r.Halo.makespan_cycles);
+               ("credit_stalls", vi r.Halo.credit_stalls);
+               ("drained", vb r.Halo.drained);
+             ])
+         results)
+
+let report_halo ?loads ?slo cfg = stage_halo ?loads ?slo cfg ()
+
+let rpc_regime = { Rpc.default_config with window_cycles = 200_000 }
+
+let stage_rpc ?(loads = app_default_loads) ?slo (cfg : Rpc.config) =
+  check_slo slo;
+  let points =
+    checked Rpc.validate (List.map (fun load -> { cfg with Rpc.load }) loads)
   in
-  Report.make ~id:"e16_rpc"
-    ~title:
-      (Printf.sprintf
-         "E16: bursty RPC service (bursts of %d, pool %d) on a %d-node mesh \
-          — arrival-to-reply tail latency vs offered server load"
-         burst pool nodes)
-    ~meta:
-      [
-        ("nodes", vi nodes);
-        ("resp_bytes", vi resp_bytes);
-        ("server_cycles", vi server_cycles);
-        ("burst", vi burst);
-        ("pool", vi pool);
-        ("send_cycles", vi !send_cycles);
-        ("window_cycles", vi window_cycles);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("seed", vi seed);
-      ]
-    ~columns:
-      [
-        ("load", "load");
-        ("n", "reqs");
-        ("bursts", "bursts");
-        ("p50", "p50");
-        ("p95", "p95");
-        ("p99", "p99");
-        ("p999", "p999");
-        ("tput", "req/kcyc");
-        ("offered", "offered/kcyc");
-        ("drained", "drained");
-      ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun (load, r) ->
-         (("load", vf load) :: app_stat_cells r.Rpc.stats)
-         @ [
-             ("bursts", vi r.Rpc.bursts);
-             ("tput", vf r.Rpc.throughput_per_kcycle);
-             ("offered", vf r.Rpc.offered_per_kcycle);
-             ("drained", vb r.Rpc.drained);
-           ])
-       results)
+  fun () ->
+    let p = probe () in
+    let send_cycles = ref 0 in
+    let results =
+      List.map
+        (fun (point : Rpc.config) ->
+          let r = Rpc.run ~probe:(watch p) point in
+          send_cycles := r.Rpc.send_cycles;
+          (point.load, r))
+        points
+    in
+    let knee =
+      app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
+    in
+    Report.make ~id:"e16_rpc"
+      ~title:
+        (Printf.sprintf
+           "E16: bursty RPC service (bursts of %d, pool %d) on a %d-node mesh \
+            — arrival-to-reply tail latency vs offered server load"
+           cfg.burst cfg.pool cfg.fabric.nodes)
+      ~meta:
+        [
+          ("nodes", vi cfg.fabric.nodes);
+          ("resp_bytes", vi cfg.resp_bytes);
+          ("server_cycles", vi cfg.server_cycles);
+          ("burst", vi cfg.burst);
+          ("pool", vi cfg.pool);
+          ("send_cycles", vi !send_cycles);
+          ("window_cycles", vi cfg.window_cycles);
+          ("slo", vf (Option.value slo ~default:App_slo.default_slo));
+          ("slo_knee", knee);
+          ("seed", vi cfg.fabric.seed);
+        ]
+      ~columns:
+        [
+          ("load", "load");
+          ("n", "reqs");
+          ("bursts", "bursts");
+          ("p50", "p50");
+          ("p95", "p95");
+          ("p99", "p99");
+          ("p999", "p999");
+          ("tput", "req/kcyc");
+          ("offered", "offered/kcyc");
+          ("drained", "drained");
+        ]
+      ~breakdown:(breakdown p)
+      (List.map
+         (fun (load, r) ->
+           (("load", vf load) :: app_stat_cells r.Rpc.stats)
+           @ [
+               ("bursts", vi r.Rpc.bursts);
+               ("tput", vf r.Rpc.throughput_per_kcycle);
+               ("offered", vf r.Rpc.offered_per_kcycle);
+               ("drained", vb r.Rpc.drained);
+             ])
+         results)
+
+let report_rpc ?loads ?slo cfg = stage_rpc ?loads ?slo cfg ()
+
+type apps = {
+  kv : Kv.config;
+  halo : Halo.config;
+  rpc : Rpc.config;
+  loads : float list;
+  halo_loads : float list;
+  kv_vcs : Kv.config option;
+}
+
+let map_app_fabrics f a =
+  {
+    a with
+    kv = { a.kv with fabric = f a.kv.fabric };
+    halo = { a.halo with fabric = f a.halo.fabric };
+    rpc = { a.rpc with fabric = f a.rpc.fabric };
+    kv_vcs =
+      Option.map (fun (c : Kv.config) -> { c with fabric = f c.fabric }) a.kv_vcs;
+  }
+
+let report_apps ?slo ?only a =
+  let kv () = stage_kv ~loads:a.loads ?slo a.kv in
+  let halo () = stage_halo ~loads:a.halo_loads ?slo a.halo in
+  let rpc () = stage_rpc ~loads:a.loads ?slo a.rpc in
+  let runs =
+    match only with
+    | Some `Kv -> [ kv () ]
+    | Some `Halo -> [ halo () ]
+    | Some `Rpc -> [ rpc () ]
+    | None ->
+        [ kv (); halo (); rpc () ]
+        @ Option.to_list (Option.map stage_kv_vcs a.kv_vcs)
+  in
+  List.map (fun run -> run ()) runs
 
 (* ------------------------------------------------------------------ *)
 (* E17: sharded engine throughput scaling                              *)
@@ -2009,8 +2064,8 @@ module Shard_gen = Udma_traffic.Shard_gen
    identical for every row (the kernel is domain-count-invariant; the
    [deterministic] meta flag asserts it), so only the wall-clock rate
    columns vary between hosts and runs — they are advisory, never
-   anchored. The authoritative throughput anchors live in
-   BENCH_sim.json (bench sim). *)
+   anchored, while bench --check compares the deterministic columns of
+   the quick run exactly against BENCH_baseline.json. *)
 let simscale_regime = { Load_gen.default_config with nodes = 256 }
 
 let report_simscale ?(load = 0.9) ?(domains_list = [ 1; 2; 4 ])
@@ -2091,6 +2146,7 @@ let report_simscale ?(load = 0.9) ?(domains_list = [ 1; 2; 4 ])
            ("events", vi ks.Shard_gen.events);
            ("windows", vi ks.Shard_gen.windows);
            ("cross_posts", vi ks.Shard_gen.cross_posts);
+           ("injected", vi r.Load_gen.injected);
            ("delivered", vi r.Load_gen.delivered);
            ("mean_latency", vf r.Load_gen.mean_latency);
            ("p99_latency", vi r.Load_gen.p99_latency);
@@ -2113,6 +2169,32 @@ type experiment = {
   exp_doc : string;
   exp_run : quick:bool -> seed:int -> Report.t list;
 }
+
+(* The E14 and E16 parameter sets, full and quick: the registry runs
+   them and the CLI starts from them, so each value is written once. *)
+let tenants_sweep ~quick =
+  if quick then ([ 8; 256 ], { Tenants.default_config with ops = 4000 })
+  else (default_tenant_counts, Tenants.default_config)
+
+let apps_sweep ~quick =
+  if quick then
+    {
+      kv = { Kv.default_config with window_cycles = 30_000 };
+      halo = { Halo.default_config with iterations = 12 };
+      rpc = { rpc_regime with window_cycles = 100_000 };
+      loads = [ 0.3; 0.8 ];
+      halo_loads = [ 0.5 ];
+      kv_vcs = None;
+    }
+  else
+    {
+      kv = Kv.default_config;
+      halo = Halo.default_config;
+      rpc = rpc_regime;
+      loads = app_default_loads;
+      halo_loads = halo_default_loads;
+      kv_vcs = Some kv_vcs_regime;
+    }
 
 (* The one registry every frontend derives from: [all_reports] (hence
    bench/main.exe and the committed baselines) concatenates the
@@ -2263,9 +2345,8 @@ let experiments =
          initiation cost and fault rate under tenant churn.";
       exp_run =
         (fun ~quick ~seed ->
-          if quick then
-            [ report_tenants ~tenant_counts:[ 8; 256 ] ~ops:4000 ~seed () ]
-          else [ report_tenants ~seed () ]);
+          let tenant_counts, cfg = tenants_sweep ~quick in
+          [ report_tenants ~tenant_counts { cfg with seed } ]);
     };
     {
       exp_name = "shapes";
@@ -2286,19 +2367,8 @@ let experiments =
          RPC tail latency vs offered load over the user-level DMA fabric.";
       exp_run =
         (fun ~quick ~seed ->
-          if quick then
-            [
-              report_kv ~loads:[ 0.3; 0.8 ] ~window_cycles:30_000 ~seed ();
-              report_halo ~loads:[ 0.5 ] ~iterations:12 ~seed ();
-              report_rpc ~loads:[ 0.3; 0.8 ] ~window_cycles:100_000 ~seed ();
-            ]
-          else
-            [
-              report_kv ~seed ();
-              report_halo ~seed ();
-              report_rpc ~seed ();
-              report_kv_vcs ~seed ();
-            ]);
+          report_apps
+            (map_app_fabrics (fun f -> { f with seed }) (apps_sweep ~quick)));
     };
     {
       exp_name = "simscale";

@@ -74,6 +74,12 @@ type queueing_row = {
   queued_cycles : (int * int) list;  (** (depth, cycles) *)
 }
 
+val queueing_totals : int list
+(** The default transfer sizes, 8 KB to 64 KB. *)
+
+val queue_depths : int list
+(** The default hardware queue depths, 2 to 16. *)
+
 val queueing : ?total_sizes:int list -> ?depths:int list -> unit -> queueing_row list
 
 val report_queueing :
@@ -88,6 +94,12 @@ type atomicity_row = {
   avg_cycles : float;
   violations : int;       (** cross-process pairings observed (must be 0) *)
 }
+
+val preempt_pcts : int list
+(** The default preemption probabilities, 0 to 50 %. *)
+
+val atomicity_transfers : int
+(** The default transfers per probability point (200). *)
 
 val atomicity :
   ?probs_pct:int list -> ?transfers:int -> ?seed:int -> unit ->
@@ -243,25 +255,30 @@ val report_flit :
 
 (** {1 E14 — multi-tenant protection backends} *)
 
+val default_tenant_counts : int list
+(** 8, 64, 256 and 1024 tenants. *)
+
+val tenants_sweep : quick:bool -> int list * Udma_protect.Tenants.config
+(** E14's tenant counts and base config: {!default_tenant_counts} on
+    {!Udma_protect.Tenants.default_config}, or the quick set (8 and 256
+    tenants, 4000 ops). The registry runs it and [shrimp_sim tenants]
+    starts from it. *)
+
 val report_tenants :
   ?tenant_counts:int list ->
   ?kinds:Udma_protect.Backend.kind list ->
-  ?slots:int ->
-  ?ops:int ->
-  ?churn_pct:int ->
-  ?evict_pct:int ->
-  ?rogue_pct:int ->
-  ?seed:int ->
-  unit ->
+  Udma_protect.Tenants.config ->
   Report.t
-(** {!Udma_protect.Tenants.run} per (backend, tenant count): one row
-    with initiation p50/p99/p999, the recovered-fault rate, rogue
+(** {!Udma_protect.Tenants.run} on the config per (backend, tenant
+    count) — the config's [kind] and [tenants] are the swept axes,
+    defaulting to all three backends and {!default_tenant_counts}: one
+    row with initiation p50/p99/p999, the recovered-fault rate, rogue
     probes denied, grant and invalidation traffic, the IOTLB hit rate
-    (IOMMU rows) and the isolation-breach count (always 0). Defaults
-    sweep {8, 64, 256, 1024} tenants over 64 table slots for all
-    three backends; every backend faces the identical op stream, so
-    rows differ only in protection-path costs. Deterministic under
-    [seed]. *)
+    (IOMMU rows) and the isolation-breach count (always 0). Every
+    backend faces the identical op stream, so rows differ only in
+    protection-path costs. Every point is validated
+    ({!Udma_protect.Tenants.validate}) before the first runs.
+    Deterministic under the config's [seed]. *)
 
 (** {1 E15: bandwidth vs transfer shape} *)
 
@@ -284,20 +301,35 @@ type shape_row = {
   sh_queued_pct : float;
 }
 
+val shape_total : int
+(** The default bytes moved per shape (8192). *)
+
+val shape_strides : int list
+(** The default stride factors, 2 to 64. *)
+
+val shape_sg_counts : int list
+(** The default scatter-gather element counts, 2 to 256. *)
+
 val default_shape_cases : shape_case list
-(** Contiguous, stride factors 2..64, SG 2..256 elements. *)
+(** Contiguous, then {!shape_strides}, then {!shape_sg_counts}. *)
 
 val quick_shape_cases : shape_case list
 (** The 5-case subset CI anchors check. *)
+
+val validate_shapes : total:int -> shape_case list -> unit
+(** Raises [Invalid_argument] unless [total] is a positive page
+    multiple, every stride factor divides 64 and every scatter-gather
+    count is twice a divisor of the page; both entry points below call
+    it before the first transfer. *)
 
 val transfer_shapes :
   ?total:int -> ?cases:shape_case list -> unit -> shape_row list
 
 val report_shapes : ?total:int -> ?cases:shape_case list -> unit -> Report.t
-(** Move [total] (default 8192) bytes to the device in every shape, on
-    basic and queued hardware: per-shape end-to-end cycles, bytes per
-    cycle and bandwidth relative to the contiguous transfer of the same
-    mode. Strided and scatter-gather shapes go through shaped
+(** Move [total] (default {!shape_total}) bytes to the device in every
+    shape, on basic and queued hardware: per-shape end-to-end cycles,
+    bytes per cycle and bandwidth relative to the contiguous transfer
+    of the same mode. Strided and scatter-gather shapes go through shaped
     initiations ({!Udma.Initiator.start_shaped}); the descriptor-fetch
     and per-element burst-setup costs produce the overhead knee as
     element count rises at fixed total bytes. *)
@@ -312,83 +344,78 @@ val halo_default_loads : float list
 (** 0.2..1.0 — the halo load axis is a work share and cannot exceed 1. *)
 
 val report_kv :
-  ?loads:float list ->
-  ?nodes:int ->
-  ?shards:int ->
-  ?clients_per_node:int ->
-  ?value_bytes:int ->
-  ?write_pct:int ->
-  ?hot_pct:int ->
-  ?vcs:int ->
-  ?link_per_word:int ->
-  ?slo:float ->
-  ?window_cycles:int ->
-  ?chaos:bool ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** {!Udma_app.Kv.run} swept over offered loads: one row per load with
-    request count, end-to-end latency percentiles (plus the cold — non
-    hot-shard — p99), throughput, credit stalls and the drain check;
-    the SLO knee (first sustained load where p99 exceeds [slo] times
-    the lightest load's p50) lands in the meta. [shards] defaults to
-    [nodes]. Deterministic under [seed]. *)
+  ?loads:float list -> ?slo:float -> Udma_app.Kv.config -> Report.t
+(** {!Udma_app.Kv.run} on the config swept over offered loads (each
+    point overwrites [load]; default {!app_default_loads}): one row per
+    load with request count, end-to-end latency percentiles (plus the
+    cold — non hot-shard — p99), throughput, credit stalls and the
+    drain check; the SLO knee (first sustained load where p99 exceeds
+    [slo] times the lightest load's p50) lands in the meta. Every point
+    and [slo] are validated before the first runs. Deterministic under
+    the fabric seed. *)
 
-val report_kv_vcs :
-  ?load:float ->
-  ?nodes:int ->
-  ?vc_counts:int list ->
-  ?value_bytes:int ->
-  ?hot_pct:int ->
-  ?link_per_word:int ->
-  ?window_cycles:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** The KV store in the E13 head-of-line regime (write-heavy traffic
-    into a hot shard, link-bound wires) at one load, per VC count: the
-    app-level payoff of virtual channels as a p99 / cold-p99 drop.
-    Deterministic under [seed]. *)
+val kv_vcs_regime : Udma_app.Kv.config
+(** The E13 head-of-line regime for the KV store:
+    {!Udma_app.Kv.default_config} with 100 % writes, 50 % of key draws
+    on shard 0, [link_per_word = 2] and load 0.7. *)
+
+val report_kv_vcs : ?vc_counts:int list -> Udma_app.Kv.config -> Report.t
+(** The config (E16 runs it on {!kv_vcs_regime}) at its one load, per
+    VC count (default 1 and 4; each point overwrites the fabric's
+    [vc_count]): the app-level payoff of virtual channels as a p99 /
+    cold-p99 drop. Deterministic under the fabric seed. *)
 
 val report_halo :
-  ?loads:float list ->
-  ?nodes:int ->
-  ?tile_rows:int ->
-  ?row_bytes:int ->
-  ?halo_cols:int ->
-  ?iterations:int ->
-  ?warmup_iters:int ->
-  ?slo:float ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** {!Udma_app.Halo.run} swept over send-work shares: one row per load
-    with per-(node, iteration) barrier-latency percentiles, the
-    derived compute budget, makespan and the drain check; east/west
-    halos go through the strided (shaped) send path, whose calibrated
-    cost lands in the meta next to the contiguous one. Because the
-    compute budget shrinks as the send-work share grows, the SLO knee
-    is detected on the exchange {e overhead} (barrier time minus the
-    compute floor), not on raw barrier times. Deterministic under
-    [seed]. *)
+  ?loads:float list -> ?slo:float -> Udma_app.Halo.config -> Report.t
+(** {!Udma_app.Halo.run} on the config swept over send-work shares
+    (default {!halo_default_loads}): one row per load with
+    per-(node, iteration) barrier-latency percentiles, the derived
+    compute budget, makespan and the drain check; east/west halos go
+    through the strided (shaped) send path, whose calibrated cost lands
+    in the meta next to the contiguous one. Because the compute budget
+    shrinks as the send-work share grows, the SLO knee is detected on
+    the exchange {e overhead} (barrier time minus the compute floor),
+    not on raw barrier times. Deterministic under the fabric seed. *)
+
+val rpc_regime : Udma_app.Rpc.config
+(** {!Udma_app.Rpc.default_config} with a 200k-cycle window, long
+    enough for the bursty tail past the knee. *)
 
 val report_rpc :
-  ?loads:float list ->
-  ?nodes:int ->
-  ?resp_bytes:int ->
-  ?server_cycles:int ->
-  ?burst:int ->
-  ?pool:int ->
-  ?slo:float ->
-  ?window_cycles:int ->
-  ?seed:int ->
-  unit ->
-  Report.t
-(** {!Udma_app.Rpc.run} swept over target server utilisations: one row
-    per load with arrival-to-reply latency percentiles (backlog wait
-    included), burst count, completed vs offered throughput and the
-    drain check; the SLO knee in the meta. Deterministic under
-    [seed]. *)
+  ?loads:float list -> ?slo:float -> Udma_app.Rpc.config -> Report.t
+(** {!Udma_app.Rpc.run} on the config (E16 runs it on {!rpc_regime})
+    swept over target server utilisations (default
+    {!app_default_loads}): one row per load with arrival-to-reply
+    latency percentiles (backlog wait included), burst count,
+    completed vs offered throughput and the drain check; the SLO knee
+    in the meta. Deterministic under the fabric seed. *)
+
+type apps = {
+  kv : Udma_app.Kv.config;
+  halo : Udma_app.Halo.config;
+  rpc : Udma_app.Rpc.config;
+  loads : float list;  (** the KV and RPC load axis *)
+  halo_loads : float list;
+  kv_vcs : Udma_app.Kv.config option;  (** the VC-contrast table, if any *)
+}
+(** One E16 parameter set: a config and load axis per application. *)
+
+val apps_sweep : quick:bool -> apps
+(** E16's full set ({!app_default_loads}, {!halo_default_loads}, the
+    library defaults, {!rpc_regime} and the {!kv_vcs_regime} table) or
+    its quick set (loads 0.3 and 0.8 on 30k/100k-cycle KV/RPC windows,
+    one halo point at 0.5 over 12 iterations, no VC table). The
+    registry runs it and [shrimp_sim apps] starts from it. *)
+
+val map_app_fabrics :
+  (Udma_app.Fabric.config -> Udma_app.Fabric.config) -> apps -> apps
+(** Apply one change (e.g. the seed) to every application's fabric. *)
+
+val report_apps :
+  ?slo:float -> ?only:[ `Kv | `Halo | `Rpc ] -> apps -> Report.t list
+(** The KV, halo and RPC reports and the VC table, or just the [only]
+    application. Every point of every selected report is validated
+    before the first simulation runs. *)
 
 val simscale_regime : Udma_traffic.Load_gen.config
 (** The E17 workload: {!Udma_traffic.Load_gen.default_config} on a
@@ -408,8 +435,10 @@ val report_simscale :
     events/sec + speedup over the first entry. The counters and the
     traffic result are identical across rows — the [deterministic]
     meta flag asserts it — while the rate columns depend on the host
-    ([host_cores] meta records {!Domain.recommended_domain_count});
-    the anchored throughput baseline lives in [BENCH_sim.json]. *)
+    ([host_cores] meta records {!Domain.recommended_domain_count}).
+    [bench --check] compares the deterministic columns (events,
+    windows, cross_posts, shards, injected, delivered, mean_latency,
+    p99_latency) of the quick run exactly against the baseline. *)
 
 (** {1 Driver} *)
 

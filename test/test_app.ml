@@ -245,6 +245,70 @@ let test_kv_vcs_improve_hotspot_tail () =
     true
     (r4.Kv.stats.Slo.p99 < r1.Kv.stats.Slo.p99)
 
+(* ---------- E16 reports: knobs checked before any work ---------- *)
+
+module Runner = Udma_workloads.Runner
+
+(* [report_apps] must reject a bad knob of any application before the
+   first one simulates: the KV sweep (first in the run) would otherwise
+   emit trace events before the halo or RPC config is looked at. *)
+let test_apps_reject_bad_knobs_first () =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  let traced f =
+    let sink, events = Udma_obs.Event.counting_sink () in
+    Udma_sim.Trace.set_global_sink (Some sink);
+    let outcome =
+      Fun.protect
+        ~finally:(fun () -> Udma_sim.Trace.set_global_sink None)
+        (fun () ->
+          match f () with
+          | exception Invalid_argument msg -> Error msg
+          | _ -> Ok ())
+    in
+    (outcome, events ())
+  in
+  let quick = Runner.apps_sweep ~quick:true in
+  let small =
+    { quick with loads = [ 0.3 ]; halo_loads = [ 0.5 ] }
+    |> Runner.map_app_fabrics (fun f -> { f with Fabric.nodes = 4 })
+  in
+  let small = { small with kv = { small.kv with Kv.shards = 4 } } in
+  (match traced (fun () -> Runner.report_apps small) with
+  | Ok (), n -> checkb "a good run is traced" true (n > 0)
+  | Error msg, _ -> Alcotest.failf "good config rejected: %s" msg);
+  let rejects name ?slo a ~field =
+    match traced (fun () -> Runner.report_apps ?slo a) with
+    | Error msg, n ->
+        checkb
+          (Printf.sprintf "%s: message %S names %s" name msg field)
+          true (contains msg field);
+        checki (name ^ ": nothing simulated") 0 n
+    | Ok (), _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  rejects "halo load past 1" { small with halo_loads = [ 1.5 ] } ~field:"load";
+  rejects "empty RPC bursts"
+    { small with rpc = { small.rpc with Rpc.burst = 0 } }
+    ~field:"burst";
+  rejects "zero SLO multiple" ~slo:0.0 small ~field:"slo";
+  rejects "VC table on zero-cycle links"
+    {
+      small with
+      kv_vcs =
+        Some
+          {
+            Runner.kv_vcs_regime with
+            Kv.fabric =
+              { Runner.kv_vcs_regime.Kv.fabric with Fabric.link_per_word = 0 };
+          };
+    }
+    ~field:"link_per_word"
+
 let () =
   Alcotest.run "udma_app"
     [
@@ -272,5 +336,7 @@ let () =
           Alcotest.test_case "rpc smoke" `Quick test_rpc_smoke;
           Alcotest.test_case "4 VCs beat 1 VC at the hotspot" `Quick
             test_kv_vcs_improve_hotspot_tail;
+          Alcotest.test_case "bad knobs rejected before any app runs" `Quick
+            test_apps_reject_bad_knobs_first;
         ] );
     ]

@@ -905,78 +905,6 @@ let test_four_node_all_pairs () =
   done;
   System.run_until_idle sys
 
-(* ---------- Collectives ---------- *)
-
-module Collective = Udma_shrimp.Collective
-
-let group_of n =
-  let sys = System.create ~nodes:n () in
-  let members =
-    List.init n (fun i ->
-        (i, Scheduler.spawn (System.node sys i).System.machine
-              ~name:(Printf.sprintf "rank%d" i)))
-  in
-  (sys, Collective.create_group sys ~members ())
-
-let test_collective_barrier () =
-  let _sys, g = group_of 4 in
-  checki "size" 4 (Collective.group_size g);
-  for round = 1 to 3 do
-    List.iter (fun r -> Collective.barrier g ~rank:r) [ 2; 0; 3; 1 ];
-    checki (Printf.sprintf "round %d completed" round) round
-      (Collective.barriers_completed g)
-  done
-
-let test_collective_barrier_double_arrival () =
-  let _sys, g = group_of 2 in
-  Collective.barrier g ~rank:1;
-  checkb "double arrival rejected" true
-    (try Collective.barrier g ~rank:1; false with Invalid_argument _ -> true)
-
-let test_collective_broadcast () =
-  (* 4 nodes: 3 leaves a partial mesh row and is rejected by Router *)
-  let sys, g = group_of 4 in
-  let root_m = (System.node sys 0).System.machine in
-  let root_p = List.hd root_m.M.procs in
-  let buf = Kernel.alloc_buffer root_m root_p ~bytes:4096 in
-  let data = pattern 512 17 in
-  Kernel.write_user root_m root_p ~vaddr:buf data;
-  Collective.broadcast g ~root:0 ~src_vaddr:buf ~nbytes:512;
-  for rank = 1 to 3 do
-    let m = (System.node sys rank).System.machine in
-    let p = List.hd m.M.procs in
-    let v = Collective.bcast_recv_vaddr g ~root:0 ~rank in
-    check Alcotest.bytes
-      (Printf.sprintf "rank %d got the broadcast" rank)
-      data
-      (Kernel.read_user m p ~vaddr:v ~len:512)
-  done
-
-let test_collective_all_gather () =
-  let sys, g = group_of 4 in
-  let contributions =
-    Array.init 4 (fun rank ->
-        let m = (System.node sys rank).System.machine in
-        let p = List.hd m.M.procs in
-        let buf = Kernel.alloc_buffer m p ~bytes:4096 in
-        Kernel.write_user m p ~vaddr:buf (pattern 256 (100 + rank));
-        (buf, 256))
-  in
-  Collective.all_gather g ~contributions;
-  for rank = 0 to 3 do
-    for from_rank = 0 to 3 do
-      if from_rank <> rank then begin
-        let m = (System.node sys rank).System.machine in
-        let p = List.hd m.M.procs in
-        let v = Collective.gather_recv_vaddr g ~from_rank ~rank in
-        check Alcotest.bytes
-          (Printf.sprintf "rank %d has rank %d's data" rank from_rank)
-          (pattern 256 (100 + from_rank))
-          (Kernel.read_user m p ~vaddr:v ~len:256)
-      end
-    done
-  done
-
 (* ---------- Automatic update (§9) ---------- *)
 
 module Auto_update = Udma_shrimp.Auto_update
@@ -1112,14 +1040,6 @@ let () =
           Alcotest.test_case "unconfigured NIPT page rejected" `Quick
             test_ni_unconfigured_page_rejected;
           Alcotest.test_case "receive marks dirty" `Quick test_receive_marks_dirty;
-        ] );
-      ( "collective",
-        [
-          Alcotest.test_case "barrier" `Quick test_collective_barrier;
-          Alcotest.test_case "barrier double arrival" `Quick
-            test_collective_barrier_double_arrival;
-          Alcotest.test_case "broadcast" `Quick test_collective_broadcast;
-          Alcotest.test_case "all-gather" `Quick test_collective_all_gather;
         ] );
       ( "auto-update",
         [
