@@ -474,7 +474,8 @@ let shapes_term =
     Arg.(
       value & opt int Runner.shape_total
       & info [ "total" ] ~docv:"BYTES"
-          ~doc:"Total bytes moved per shape (a page multiple).")
+          ~doc:"Total bytes moved per shape (a page multiple that fits the \
+                device's pages).")
   in
   let run c quick kinds strides sg_elems total =
     let strided = List.map (fun f -> Runner.Shape_strided f) strides in

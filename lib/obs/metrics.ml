@@ -37,6 +37,26 @@ let set t name v = counter_ref t name := v
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
+(* A handle resolves its counter on first use, not at creation, so
+   holding one registers nothing until the counter is really touched. *)
+type counter = { c_reg : t; c_name : string; mutable c_ref : int ref option }
+
+let counter t name = { c_reg = t; c_name = name; c_ref = None }
+
+let resolve c =
+  match c.c_ref with
+  | Some r -> r
+  | None ->
+      let r = counter_ref c.c_reg c.c_name in
+      c.c_ref <- Some r;
+      r
+
+let bump c = Stdlib.incr (resolve c)
+
+let bump_by c n =
+  let r = resolve c in
+  r := !r + n
+
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -86,12 +106,34 @@ let bucket_index h v =
   in
   if v > h.edges.(n - 1) then n else go 0 n
 
-let observe t ?buckets name v =
-  let h = hist_ref t ?buckets name in
+let observe_hist h v =
   let i = bucket_index h v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
   h.total <- h.total + v
+
+let observe t ?buckets name v = observe_hist (hist_ref t ?buckets name) v
+
+type series = {
+  s_reg : t;
+  s_name : string;
+  s_buckets : int list option;
+  mutable s_hist : hist option;
+}
+
+let series t ?buckets name =
+  { s_reg = t; s_name = name; s_buckets = buckets; s_hist = None }
+
+let record s v =
+  let h =
+    match s.s_hist with
+    | Some h -> h
+    | None ->
+        let h = hist_ref s.s_reg ?buckets:s.s_buckets s.s_name in
+        s.s_hist <- Some h;
+        h
+  in
+  observe_hist h v
 
 type histogram = {
   buckets : (int * int) list;
@@ -160,8 +202,3 @@ let to_json t =
       ( "histograms",
         Json.Obj (List.map (fun (k, h) -> (k, hist_json h)) (histograms t)) );
     ]
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.hists

@@ -28,6 +28,20 @@ val get : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
+type counter
+(** A pre-resolved handle on one named counter, for hot paths that
+    would otherwise hash the name on every bump. The counter is looked
+    up (and created at 0) on the handle's first bump, not when the
+    handle is made, so holding a handle registers no name. *)
+
+val counter : t -> string -> counter
+
+val bump : counter -> unit
+(** [incr] through a handle. *)
+
+val bump_by : counter -> int -> unit
+(** [add] through a handle. *)
+
 (** {1 Gauges} — last-write-wins instantaneous values. *)
 
 val set_gauge : t -> string -> float -> unit
@@ -49,6 +63,16 @@ val observe : t -> ?buckets:int list -> string -> int -> unit
 (** Record one value into histogram [name], creating the histogram on
     first use ([buckets] only takes effect then; edges must be
     strictly increasing, checked at creation). *)
+
+type series
+(** A handle on one named histogram, resolved on its first {!record}
+    like a {!counter}. *)
+
+val series : t -> ?buckets:int list -> string -> series
+(** [buckets] applies if the first {!record} creates the histogram. *)
+
+val record : series -> int -> unit
+(** [observe] through a handle. *)
 
 type histogram = {
   buckets : (int * int) list;  (** (upper edge, count), ascending. *)
@@ -72,5 +96,3 @@ val histograms : t -> (string * histogram) list
 
 val to_json : t -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}]. *)
-
-val reset : t -> unit

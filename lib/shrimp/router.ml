@@ -42,17 +42,19 @@ type mutation = Credit_leak | Arb_stuck | Flit_leak | Double_grant
    caller advances [rr] to just past the grant, which bounds the wait
    of any continuously-ready VC to [vc_count - 1] skipped rounds (the
    distance from [rr] to that VC strictly shrinks on every skip). *)
-let arbitrate ~rr ~ready =
+let arbitrate_index ~rr ~ready =
   let n = Array.length ready in
-  if n = 0 then None
-  else
-    let rec go k =
-      if k >= n then None
-      else
-        let v = (rr + k) mod n in
-        if ready.(v) then Some v else go (k + 1)
-    in
-    go 0
+  let grant = ref (-1) and k = ref 0 in
+  while !grant < 0 && !k < n do
+    let v = (rr + !k) mod n in
+    if ready.(v) then grant := v;
+    incr k
+  done;
+  !grant
+
+let arbitrate ~rr ~ready =
+  let v = arbitrate_index ~rr ~ready in
+  if v < 0 then None else Some v
 
 (* One virtual channel of a directed link. [v_tail] is the cycle the
    VC's most recent packet clears the wire — the next packet assigned
@@ -84,15 +86,16 @@ type pool = {
 
    A packet decomposes into head/body/tail flits that cross the mesh
    one link per flit-cycle. A worm is the in-network image of one
-   packet: its flits all follow the path the head reserves, and
-   [w_vcs] records, per hop, the virtual channel the head was granted
-   there (-1 until the head crosses that hop), which the body and tail
-   must reuse — the wormhole discipline. *)
+   packet: its flits all follow the path the head reserves ([w_path],
+   as indices into [fl_links]), and [w_vcs] records, per hop, the
+   virtual channel the head was granted there (-1 until the head
+   crosses that hop), which the body and tail must reuse — the
+   wormhole discipline. *)
 type worm = {
   w_id : int;
   w_pkt : Packet.t;
   w_flits : int;
-  w_path : (int * int) array;
+  w_path : int array;
   w_vcs : int array;
 }
 
@@ -111,6 +114,7 @@ type flit = {
    F1 conservation oracle. [fb_owner] is the id of the worm whose head
    claimed this VC (freed when its tail pops out). *)
 type fbuf = {
+  fb_vc : int;
   fb_capacity : int;
   mutable fb_credits : int;
   mutable fb_occ : int;
@@ -125,8 +129,16 @@ type fbuf = {
 type funit = F_inject of flit Queue.t | F_buf of fbuf
 
 type flit_side = {
+  fs_index : int;                   (* position in [fl_links] *)
   fs_bufs : fbuf array;             (* input FIFOs at l_dst, per VC *)
   mutable fs_units : funit array;   (* competitors for this wire *)
+  (* per-tick scratch, preallocated so arbitration allocates nothing:
+     each unit's offer code and ready flag, and the VCs a head could
+     claim *)
+  mutable fs_offer : int array;
+  mutable fs_ready : bool array;
+  fs_vc_ready : bool array;
+  mutable fs_visited : int;         (* last tick the clock visited this wire *)
   mutable fs_wire_free : int;
   mutable fs_vc_rr : int;           (* rr pointer for head-flit VC grants *)
   mutable fs_flits : int;           (* flits that crossed this wire *)
@@ -223,6 +235,9 @@ type t = {
   (* flit-crossing state ([fl_links] is [||] in analytic mode) *)
   mutable fl_links : link array;       (* every directed link, (src,dst) order *)
   fl_inject : flit Queue.t array;      (* per-source injection FIFOs *)
+  mutable fl_interest : int array;     (* per link: FIFO fronts targeting it *)
+  fl_vc_occ : int array;               (* per VC: flits buffered on all links *)
+  mutable fl_visits : int;             (* (link, tick) pairs visited *)
   mutable fl_injected : int;
   mutable fl_delivered : int;
   mutable fl_next_worm : int;
@@ -230,6 +245,13 @@ type t = {
   mutable fl_occ_sum : float array;    (* per-VC occupancy, summed per tick *)
   mutable fl_occ_max : int array;
   mutable fl_occ_cycles : int;
+  fm_injected : Metrics.counter;
+  fm_delivered : Metrics.counter;
+  fm_grants : Metrics.counter;
+  fm_occupancy : Metrics.series;
+  fm_busy_cycles : Metrics.counter;
+  fm_stall_cycles : Metrics.counter;
+  fm_hol_cycles : Metrics.counter;
 }
 
 (* Width of the squarest mesh covering [nodes]. *)
@@ -258,14 +280,13 @@ let fresh_pools t =
       let now = Engine.now t.engine in
       Array.init t.config.vc_count (fun _ -> fresh_pool ~now n)
 
-let fl_fresh_buf cap =
-  { fb_capacity = cap; fb_credits = cap; fb_occ = 0; fb_owner = -1;
-    fb_max_occ = 0; fb_grants = 0; fb_q = Queue.create () }
+let fl_fresh_buf cap vc =
+  { fb_vc = vc; fb_capacity = cap; fb_credits = cap; fb_occ = 0;
+    fb_owner = -1; fb_max_occ = 0; fb_grants = 0; fb_q = Queue.create () }
 
 (* Flit mode materialises every directed mesh link up front, in
-   (src, dst) order, so the per-cycle arbitration loop iterates them
-   deterministically (the lazy [link_of] creation order would depend
-   on traffic). *)
+   (src, dst) order, so the per-cycle scan visits them in a fixed order
+   (the lazy [link_of] creation order would depend on traffic). *)
 let fl_build_links t =
   let w = t.width and n = t.node_count in
   let cap = match t.config.rx_credits with None -> -1 | Some c -> c in
@@ -282,13 +303,17 @@ let fl_build_links t =
   done;
   t.fl_links <-
     Array.of_list
-      (List.map
-         (fun (a, b) ->
+      (List.mapi
+         (fun i (a, b) ->
            let fs =
              {
-               fs_bufs =
-                 Array.init t.config.vc_count (fun _ -> fl_fresh_buf cap);
+               fs_index = i;
+               fs_bufs = Array.init t.config.vc_count (fl_fresh_buf cap);
                fs_units = [||];
+               fs_offer = [||];
+               fs_ready = [||];
+               fs_vc_ready = Array.make t.config.vc_count false;
+               fs_visited = -1;
                fs_wire_free = 0;
                fs_vc_rr = 0;
                fs_flits = 0;
@@ -306,6 +331,7 @@ let fl_build_links t =
            Hashtbl.add t.links (a, b) l;
            l)
          (List.sort compare !pairs));
+  t.fl_interest <- Array.make (Array.length t.fl_links) 0;
   (* the input units competing for each wire: the source node's
      injection FIFO first, then each incoming link's input-buffer VCs
      in (src, dst, vc) order *)
@@ -321,7 +347,9 @@ let fl_build_links t =
                    Array.to_list (Array.map (fun b -> F_buf b) fs'.fs_bufs)
                | None -> [])
       in
-      fs.fs_units <- Array.of_list (F_inject t.fl_inject.(l.l_src) :: ins))
+      fs.fs_units <- Array.of_list (F_inject t.fl_inject.(l.l_src) :: ins);
+      fs.fs_offer <- Array.make (Array.length fs.fs_units) 0;
+      fs.fs_ready <- Array.make (Array.length fs.fs_units) false)
     t.fl_links
 
 let create ~engine ~nodes ?(config = default_config) () =
@@ -348,6 +376,7 @@ let create ~engine ~nodes ?(config = default_config) () =
           rows, e.g. 2, 4, 6, 9, 12, 16, 25, 36, 64"
          nodes width);
   let flit = config.crossing = `Flit && config.link_contention in
+  let em = Engine.metrics engine in
   let t =
     {
       engine;
@@ -366,6 +395,9 @@ let create ~engine ~nodes ?(config = default_config) () =
       fl_links = [||];
       fl_inject =
         (if flit then Array.init nodes (fun _ -> Queue.create ()) else [||]);
+      fl_interest = [||];
+      fl_vc_occ = (if flit then Array.make config.vc_count 0 else [||]);
+      fl_visits = 0;
       fl_injected = 0;
       fl_delivered = 0;
       fl_next_worm = 0;
@@ -373,6 +405,13 @@ let create ~engine ~nodes ?(config = default_config) () =
       fl_occ_sum = (if flit then Array.make config.vc_count 0.0 else [||]);
       fl_occ_max = (if flit then Array.make config.vc_count 0 else [||]);
       fl_occ_cycles = 0;
+      fm_injected = Metrics.counter em "net.flit.injected";
+      fm_delivered = Metrics.counter em "net.flit.delivered";
+      fm_grants = Metrics.counter em "net.flit.grants";
+      fm_occupancy = Metrics.series em "net.flit.occupancy";
+      fm_busy_cycles = Metrics.counter em "net.link.busy_cycles";
+      fm_stall_cycles = Metrics.counter em "net.flit.stall_cycles";
+      fm_hol_cycles = Metrics.counter em "net.flit.hol_stall_cycles";
     }
   in
   if flit then fl_build_links t;
@@ -776,10 +815,76 @@ let injection_ready t ~src ~dst =
    clock skips ahead to the next flit-ready or wire-free time instead
    of spinning, and goes quiescent when neither exists (empty network,
    or a worm wedged by a planted mutation — which is why the F1 oracle
-   and not a hang is how a leak surfaces). *)
+   and not a hang is how a leak surfaces).
+
+   Both passes visit only the links with work. [fl_interest] counts,
+   per link, the FIFO fronts that target it: a front targets its next
+   hop, or — once it sits at its destination waiting to eject — the
+   link that holds it. Only fronts can eject or be granted, so a link
+   with a zero count does nothing in either pass and is skipped. The
+   scan reads the counts live, in [fl_links] order, so a pop on one
+   link that hands work to a later link is seen in the same tick, as
+   a scan of every link would see it. *)
 
 let fl_flit_cycle t fault =
   t.config.per_word_cycles * t.config.flit_words * occupancy_factor fault
+
+let fl_side l = match l.l_flit with Some fs -> fs | None -> assert false
+
+(* The link a FIFO-front flit targets (see above). *)
+let fl_target f =
+  let p = f.f_worm.w_path in
+  if f.f_hop < Array.length p then p.(f.f_hop) else p.(f.f_hop - 1)
+
+let fl_note t f delta =
+  let i = fl_target f in
+  t.fl_interest.(i) <- t.fl_interest.(i) + delta
+
+(* Every [Queue.add] and [Queue.pop] on a flit FIFO goes through these
+   two, which keep [fl_interest] exact: a push onto an empty FIFO makes
+   a new front, a pop retires one and exposes the next. A front's
+   target never changes while it is the front ([f_hop] only moves
+   between a pop and the next push). *)
+let fl_push t q f =
+  if Queue.is_empty q then fl_note t f 1;
+  Queue.add f q
+
+let fl_take t q =
+  let f = Queue.pop q in
+  fl_note t f (-1);
+  if not (Queue.is_empty q) then fl_note t (Queue.peek q) 1;
+  f
+
+(* A flit enters input FIFO [fb]; the VC's network-wide occupancy moves
+   with the FIFO's. *)
+let fl_buf_push t fb f =
+  fl_push t fb.fb_q f;
+  fb.fb_occ <- fb.fb_occ + 1;
+  t.fl_vc_occ.(fb.fb_vc) <- t.fl_vc_occ.(fb.fb_vc) + 1
+
+(* A flit leaves [fb] (forwarded or ejected), returning its credit
+   upstream; a tail releases the VC. *)
+let fl_buf_take t fb =
+  let f = fl_take t fb.fb_q in
+  fb.fb_occ <- fb.fb_occ - 1;
+  t.fl_vc_occ.(fb.fb_vc) <- t.fl_vc_occ.(fb.fb_vc) - 1;
+  if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
+  if f.f_idx = f.f_worm.w_flits - 1 then fb.fb_owner <- -1;
+  f
+
+let fl_unit_queue = function F_inject q -> q | F_buf ub -> ub.fb_q
+
+(* Pop a granted flit out of its input unit. *)
+let fl_pop t u =
+  match u with
+  | F_inject q -> ignore (fl_take t q)
+  | F_buf ub -> ignore (fl_buf_take t ub)
+
+let fl_visit t fs now =
+  if fs.fs_visited <> now then begin
+    fs.fs_visited <- now;
+    t.fl_visits <- t.fl_visits + 1
+  end
 
 (* Worm completion: the tail flit ejected. Same in-order clamp as the
    analytic path: the pair's arrival is pushed after its previous one
@@ -799,87 +904,66 @@ let fl_deliver t w now =
   | Some sink -> Engine.schedule_at t.engine ~time:arrival (fun _ -> sink pkt)
   | None -> ()
 
-let fl_eject t l now progress =
-  match l.l_flit with
-  | None -> ()
-  | Some fs ->
-      let em = Engine.metrics t.engine in
-      let done_ = ref false in
-      Array.iter
-        (fun fb ->
-          if (not !done_) && not (Queue.is_empty fb.fb_q) then begin
-            let f = Queue.peek fb.fb_q in
-            if f.f_hop = Array.length f.f_worm.w_path && f.f_ready <= now
-            then begin
-              ignore (Queue.pop fb.fb_q);
-              fb.fb_occ <- fb.fb_occ - 1;
-              if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
-              if f.f_idx = f.f_worm.w_flits - 1 then begin
-                fb.fb_owner <- -1;
-                fl_deliver t f.f_worm now
-              end;
-              t.fl_delivered <- t.fl_delivered + 1;
-              Metrics.incr em "net.flit.delivered";
-              done_ := true;
-              progress := true
-            end
-          end)
-        fs.fs_bufs
-
-(* The flit a unit offers this wire right now, with the VC it would
-   ride: [None] when the unit is empty, its front flit is not ready,
-   is not routed over this wire, or cannot get a VC/credit. A head
-   flit asks the per-wire VC allocator (round-robin over the free,
-   credited VCs — the same [arbitrate] discipline as the packet
-   path); body and tail flits must follow the head's VC and only need
-   a credit there. *)
-let fl_offer t l fs now u =
-  let front =
-    match u with
-    | F_inject q -> if Queue.is_empty q then None else Some (Queue.peek q)
-    | F_buf ub -> if Queue.is_empty ub.fb_q then None else Some (Queue.peek ub.fb_q)
-  in
-  match front with
-  | None -> None
-  | Some f ->
-      let w = f.f_worm in
-      if
-        f.f_ready > now
-        || f.f_hop >= Array.length w.w_path
-        || w.w_path.(f.f_hop) <> (l.l_src, l.l_dst)
-      then None
-      else if f.f_idx = 0 then begin
-        let ready =
-          Array.map
-            (fun fb -> fb.fb_owner = -1 && fb.fb_credits <> 0)
-            fs.fs_bufs
-        in
-        match arbitrate ~rr:fs.fs_vc_rr ~ready with
-        | Some vc -> Some (f, vc)
-        | None -> ignore t; None
+(* Eject the first arrived, ready flit among the link's VC FIFOs;
+   [true] iff one left the network. *)
+let fl_eject t fs now =
+  let bufs = fs.fs_bufs in
+  let ejected = ref false and v = ref 0 in
+  while (not !ejected) && !v < Array.length bufs do
+    let fb = bufs.(!v) in
+    if not (Queue.is_empty fb.fb_q) then begin
+      let f = Queue.peek fb.fb_q in
+      if f.f_hop = Array.length f.f_worm.w_path && f.f_ready <= now then begin
+        ignore (fl_buf_take t fb);
+        if f.f_idx = f.f_worm.w_flits - 1 then fl_deliver t f.f_worm now;
+        t.fl_delivered <- t.fl_delivered + 1;
+        Metrics.bump t.fm_delivered;
+        ejected := true
       end
-      else
-        let vc = w.w_vcs.(f.f_hop) in
-        if vc >= 0
-           && fs.fs_bufs.(vc).fb_owner = w.w_id
-           && fs.fs_bufs.(vc).fb_credits <> 0
-        then Some (f, vc)
-        else None
+    end;
+    incr v
+  done;
+  !ejected
 
-(* Pop a granted flit out of its input unit, returning the upstream
-   credit; a popped tail releases the upstream VC. *)
-let fl_pop u =
-  match u with
-  | F_inject q -> ignore (Queue.pop q)
-  | F_buf ub ->
-      let f = Queue.pop ub.fb_q in
-      ub.fb_occ <- ub.fb_occ - 1;
-      if ub.fb_credits >= 0 then ub.fb_credits <- ub.fb_credits + 1;
-      if f.f_idx = f.f_worm.w_flits - 1 then ub.fb_owner <- -1
+(* What a unit offers wire [fs] right now: the VC its front flit would
+   ride ([>= 0]); [fl_blocked] when the front is ready and routed over
+   this wire but cannot get a VC/credit; [fl_idle] when the unit is
+   empty or its front is not ready or routed elsewhere. A head flit
+   asks the per-wire VC allocator (round-robin over the free, credited
+   VCs — the same [arbitrate] discipline as the packet path); body and
+   tail flits must follow the head's VC and only need a credit there. *)
+let fl_idle = -1
+let fl_blocked = -2
+
+let fl_offer fs now u =
+  let q = fl_unit_queue u in
+  if Queue.is_empty q then fl_idle
+  else
+    let f = Queue.peek q in
+    let w = f.f_worm in
+    if
+      f.f_ready > now
+      || f.f_hop >= Array.length w.w_path
+      || w.w_path.(f.f_hop) <> fs.fs_index
+    then fl_idle
+    else if f.f_idx = 0 then begin
+      let bufs = fs.fs_bufs and ready = fs.fs_vc_ready in
+      for v = 0 to Array.length bufs - 1 do
+        ready.(v) <- bufs.(v).fb_owner = -1 && bufs.(v).fb_credits <> 0
+      done;
+      let vc = arbitrate_index ~rr:fs.fs_vc_rr ~ready in
+      if vc < 0 then fl_blocked else vc
+    end
+    else
+      let vc = w.w_vcs.(f.f_hop) in
+      if vc >= 0
+         && fs.fs_bufs.(vc).fb_owner = w.w_id
+         && fs.fs_bufs.(vc).fb_credits <> 0
+      then vc
+      else fl_blocked
 
 (* Move one granted flit across the wire into [fb] (VC [vc]). *)
 let fl_advance t fb vc f now =
-  let em = Engine.metrics t.engine in
   if f.f_idx = 0 then begin
     f.f_worm.w_vcs.(f.f_hop) <- vc;
     fb.fb_owner <- f.f_worm.w_id
@@ -887,172 +971,141 @@ let fl_advance t fb vc f now =
   if fb.fb_credits > 0 then fb.fb_credits <- fb.fb_credits - 1;
   f.f_hop <- f.f_hop + 1;
   f.f_ready <- now + t.config.per_hop_cycles;
-  Queue.add f fb.fb_q;
-  fb.fb_occ <- fb.fb_occ + 1;
+  fl_buf_push t fb f;
   if fb.fb_occ > fb.fb_max_occ then fb.fb_max_occ <- fb.fb_occ;
   fb.fb_grants <- fb.fb_grants + 1;
-  Metrics.incr em "net.flit.grants";
-  Metrics.observe em "net.flit.occupancy" fb.fb_occ
+  Metrics.bump t.fm_grants;
+  Metrics.record t.fm_occupancy fb.fb_occ
 
-let fl_arbitrate_link t l now progress =
-  match l.l_flit with
-  | None -> ()
-  | Some fs ->
-      let em = Engine.metrics t.engine in
-      let n = Array.length fs.fs_units in
-      let offers = Array.map (fl_offer t l fs now) fs.fs_units in
-      let waiting = Array.exists (fun o -> o <> None) offers in
-      let wire_free = now >= fs.fs_wire_free in
-      (* a unit whose flit is ready but credit/VC-blocked also counts
-         as a waiter for stall accounting *)
-      let blocked_waiter =
-        (not waiting)
-        && Array.exists
-             (fun u ->
-               match u with
-               | F_inject q ->
-                   (not (Queue.is_empty q))
-                   && (let f = Queue.peek q in
-                       f.f_ready <= now
-                       && f.f_hop < Array.length f.f_worm.w_path
-                       && f.f_worm.w_path.(f.f_hop) = (l.l_src, l.l_dst))
-               | F_buf ub ->
-                   (not (Queue.is_empty ub.fb_q))
-                   && (let f = Queue.peek ub.fb_q in
-                       f.f_ready <= now
-                       && f.f_hop < Array.length f.f_worm.w_path
-                       && f.f_worm.w_path.(f.f_hop) = (l.l_src, l.l_dst)))
-             fs.fs_units
-      in
-      if waiting && wire_free then begin
-        let ready = Array.map (fun o -> o <> None) offers in
-        match arbitrate ~rr:l.l_rr ~ready with
-        | None -> ()
-        | Some ui ->
-            l.l_rr <- (ui + 1) mod n;
-            let u = fs.fs_units.(ui) in
-            let f, vc =
-              match offers.(ui) with Some fv -> fv | None -> assert false
-            in
-            let fb = fs.fs_bufs.(vc) in
-            if f.f_idx = 0 then begin
-              fs.fs_vc_rr <- (vc + 1) mod Array.length fs.fs_bufs;
-              (* the head claims the whole packet's crossing of this
-                 wire for link-level stats *)
-              l.l_xmits <- l.l_xmits + 1
-            end;
-            fl_pop u;
-            let occ = fl_flit_cycle t l.l_fault in
-            fs.fs_wire_free <- now + occ;
-            fs.fs_flits <- fs.fs_flits + 1;
-            l.l_busy_cycles <- l.l_busy_cycles + occ;
-            Metrics.add em "net.link.busy_cycles" occ;
-            if l.l_fault = Link_dead then begin
-              Metrics.incr em "net.flit.dead_retries";
-              Metrics.incr em "net.link.dead_crossings"
-            end;
-            (* F1 planted bug: on a dead-link retry the flit is popped
-               from the sender but the retransmit never lands — it
-               vanishes from the network, which only the conservation
-               oracle can notice *)
-            let leak =
-              l.l_fault = Link_dead
-              && t.mutation = Some Flit_leak
-              && not t.leak_used
-            in
-            if leak then begin
-              t.leak_used <- true;
-              Metrics.incr em "net.flit.leaked"
-            end
-            else begin
-              fl_advance t fb vc f now;
-              (* F2 planted bug: the arbiter grants a second flit of
-                 the same worm in the same flit-cycle without spending
-                 a second credit — the input FIFO overruns and
-                 credits + occupancy leaves capacity *)
-              match t.mutation with
-              | Some Double_grant
-                when (not t.leak_used)
-                     && fb.fb_credits >= 0
-                     && f.f_idx < f.f_worm.w_flits - 1 -> (
-                  let next =
-                    match u with
-                    | F_inject q ->
-                        if Queue.is_empty q then None else Some (Queue.peek q)
-                    | F_buf ub ->
-                        if Queue.is_empty ub.fb_q then None
-                        else Some (Queue.peek ub.fb_q)
-                  in
-                  match next with
-                  | Some f2 when f2.f_worm == f.f_worm && f2.f_ready <= now ->
-                      t.leak_used <- true;
-                      fl_pop u;
-                      f2.f_hop <- f2.f_hop + 1;
-                      f2.f_ready <- now + t.config.per_hop_cycles;
-                      Queue.add f2 fb.fb_q;
-                      fb.fb_occ <- fb.fb_occ + 1;
-                      Metrics.incr em "net.flit.double_grants"
-                  | Some _ | None -> ())
-              | Some (Double_grant | Credit_leak | Arb_stuck | Flit_leak)
-              | None ->
-                  ()
-            end;
-            progress := true
-      end
-      else if waiting || blocked_waiter then begin
-        fs.fs_stall_cycles <- fs.fs_stall_cycles + 1;
-        l.l_wait_cycles <- l.l_wait_cycles + 1;
-        Metrics.incr em "net.flit.stall_cycles";
-        if wire_free then begin
-          (* the wire is idle yet no flit may cross: head-of-line /
-             credit blocking, the quantity E18 measures *)
-          fs.fs_hol_cycles <- fs.fs_hol_cycles + 1;
-          Metrics.incr em "net.flit.hol_stall_cycles"
-        end
-      end
-
-(* Earliest future cycle at which anything could change, or [None]
-   when the network is empty or frozen. *)
-let fl_next_time t now =
-  let best = ref max_int in
-  let wire_best = ref max_int in
-  let any = ref false in
-  let consider_front q =
-    if not (Queue.is_empty q) then begin
-      any := true;
-      let f = Queue.peek q in
-      if f.f_ready > now && f.f_ready < !best then best := f.f_ready
+(* Arbitrate wire [l]; [true] iff a flit crossed it. *)
+let fl_arbitrate_link t l fs now =
+  let em = Engine.metrics t.engine in
+  let units = fs.fs_units in
+  let waiting = ref false and blocked = ref false in
+  for ui = 0 to Array.length units - 1 do
+    let o = fl_offer fs now units.(ui) in
+    fs.fs_offer.(ui) <- o;
+    fs.fs_ready.(ui) <- o >= 0;
+    if o >= 0 then waiting := true else if o = fl_blocked then blocked := true
+  done;
+  let wire_free = now >= fs.fs_wire_free in
+  if !waiting && wire_free then begin
+    let ui = arbitrate_index ~rr:l.l_rr ~ready:fs.fs_ready in
+    l.l_rr <- (ui + 1) mod Array.length units;
+    let u = units.(ui) and vc = fs.fs_offer.(ui) in
+    let f = Queue.peek (fl_unit_queue u) in
+    let fb = fs.fs_bufs.(vc) in
+    if f.f_idx = 0 then begin
+      fs.fs_vc_rr <- (vc + 1) mod Array.length fs.fs_bufs;
+      (* the head claims the whole packet's crossing of this wire for
+         link-level stats *)
+      l.l_xmits <- l.l_xmits + 1
+    end;
+    fl_pop t u;
+    let occ = fl_flit_cycle t l.l_fault in
+    fs.fs_wire_free <- now + occ;
+    fs.fs_flits <- fs.fs_flits + 1;
+    l.l_busy_cycles <- l.l_busy_cycles + occ;
+    Metrics.bump_by t.fm_busy_cycles occ;
+    let dead =
+      match l.l_fault with Link_dead -> true | Link_ok | Link_slow _ -> false
+    in
+    if dead then begin
+      Metrics.incr em "net.flit.dead_retries";
+      Metrics.incr em "net.link.dead_crossings"
+    end;
+    (* F1 planted bug: on a dead-link retry the flit is popped from the
+       sender but the retransmit never lands — it vanishes from the
+       network, which only the conservation oracle can notice *)
+    let leak =
+      dead
+      && (match t.mutation with
+         | Some Flit_leak -> true
+         | Some (Credit_leak | Arb_stuck | Double_grant) | None -> false)
+      && not t.leak_used
+    in
+    if leak then begin
+      t.leak_used <- true;
+      Metrics.incr em "net.flit.leaked"
     end
-  in
-  Array.iter consider_front t.fl_inject;
-  Array.iter
-    (fun l ->
-      match l.l_flit with
-      | None -> ()
-      | Some fs ->
-          Array.iter (fun fb -> consider_front fb.fb_q) fs.fs_bufs;
-          if fs.fs_wire_free > now && fs.fs_wire_free < !wire_best then
-            wire_best := fs.fs_wire_free)
-    t.fl_links;
-  if not !any then None
-  else
-    let b = min !best !wire_best in
-    if b = max_int then None else Some b
+    else begin
+      fl_advance t fb vc f now;
+      (* F2 planted bug: the arbiter grants a second flit of the same
+         worm in the same flit-cycle without spending a second credit —
+         the input FIFO overruns and credits + occupancy leaves
+         capacity *)
+      match t.mutation with
+      | Some Double_grant
+        when (not t.leak_used)
+             && fb.fb_credits >= 0
+             && f.f_idx < f.f_worm.w_flits - 1 ->
+          let q = fl_unit_queue u in
+          if not (Queue.is_empty q) then begin
+            let f2 = Queue.peek q in
+            if f2.f_worm == f.f_worm && f2.f_ready <= now then begin
+              t.leak_used <- true;
+              fl_pop t u;
+              f2.f_hop <- f2.f_hop + 1;
+              f2.f_ready <- now + t.config.per_hop_cycles;
+              fl_buf_push t fb f2;
+              Metrics.incr em "net.flit.double_grants"
+            end
+          end
+      | Some (Double_grant | Credit_leak | Arb_stuck | Flit_leak) | None -> ()
+    end;
+    true
+  end
+  else begin
+    (* a unit whose flit is ready but credit/VC-blocked also counts as
+       a waiter for stall accounting *)
+    if !waiting || !blocked then begin
+      fs.fs_stall_cycles <- fs.fs_stall_cycles + 1;
+      l.l_wait_cycles <- l.l_wait_cycles + 1;
+      Metrics.bump t.fm_stall_cycles;
+      if wire_free then begin
+        (* the wire is idle yet no flit may cross: head-of-line /
+           credit blocking, the quantity E18 measures *)
+        fs.fs_hol_cycles <- fs.fs_hol_cycles + 1;
+        Metrics.bump t.fm_hol_cycles
+      end
+    end;
+    false
+  end
+
+(* Earliest future cycle at which anything could change: the next
+   front-flit ready time or wire-free time of any link, idle links
+   included, since a tick at that cycle samples occupancy and counts
+   stalls everywhere; -1 when the network is empty or frozen. *)
+let fl_front_ready q =
+  if Queue.is_empty q then -1 else (Queue.peek q).f_ready
+
+let fl_next_time t now =
+  let best = ref max_int and any = ref false in
+  for s = 0 to Array.length t.fl_inject - 1 do
+    let r = fl_front_ready t.fl_inject.(s) in
+    if r > now && r < !best then best := r
+  done;
+  for i = 0 to Array.length t.fl_links - 1 do
+    (* every front targets exactly one link *)
+    if t.fl_interest.(i) > 0 then any := true;
+    let fs = fl_side t.fl_links.(i) in
+    for v = 0 to Array.length fs.fs_bufs - 1 do
+      let r = fl_front_ready fs.fs_bufs.(v).fb_q in
+      if r > now && r < !best then best := r
+    done;
+    if fs.fs_wire_free > now && fs.fs_wire_free < !best then
+      best := fs.fs_wire_free
+  done;
+  if (not !any) || !best = max_int then -1 else !best
 
 let fl_sample t =
   let vcn = Array.length t.fl_occ_sum in
   if vcn > 0 then begin
     t.fl_occ_cycles <- t.fl_occ_cycles + 1;
     for v = 0 to vcn - 1 do
-      let occ = ref 0 in
-      Array.iter
-        (fun l ->
-          match l.l_flit with
-          | None -> ()
-          | Some fs -> occ := !occ + fs.fs_bufs.(v).fb_occ)
-        t.fl_links;
-      t.fl_occ_sum.(v) <- t.fl_occ_sum.(v) +. float_of_int !occ;
-      if !occ > t.fl_occ_max.(v) then t.fl_occ_max.(v) <- !occ
+      let occ = t.fl_vc_occ.(v) in
+      t.fl_occ_sum.(v) <- t.fl_occ_sum.(v) +. float_of_int occ;
+      if occ > t.fl_occ_max.(v) then t.fl_occ_max.(v) <- occ
     done
   end
 
@@ -1060,28 +1113,42 @@ let rec fl_tick t _ =
   let now = Engine.now t.engine in
   if now > t.fl_last_tick then begin
     t.fl_last_tick <- now;
+    let links = t.fl_links and interest = t.fl_interest in
     let progress = ref false in
-    Array.iter (fun l -> fl_eject t l now progress) t.fl_links;
-    Array.iter (fun l -> fl_arbitrate_link t l now progress) t.fl_links;
+    for i = 0 to Array.length links - 1 do
+      if interest.(i) > 0 then begin
+        let fs = fl_side links.(i) in
+        fl_visit t fs now;
+        if fl_eject t fs now then progress := true
+      end
+    done;
+    for i = 0 to Array.length links - 1 do
+      if interest.(i) > 0 then begin
+        let l = links.(i) in
+        let fs = fl_side l in
+        fl_visit t fs now;
+        if fl_arbitrate_link t l fs now then progress := true
+      end
+    done;
     fl_sample t;
-    let next =
-      if !progress then Some (now + 1) else fl_next_time t now
-    in
-    match next with
-    | Some tn -> Engine.schedule_at t.engine ~time:tn (fl_tick t)
-    | None -> ()
+    let next = if !progress then now + 1 else fl_next_time t now in
+    if next >= 0 then Engine.schedule_at t.engine ~time:next (fl_tick t)
   end
 
 (* Decompose a packet into a worm and enqueue its flits on the source
    node's injection FIFO (worms of one source serialize there, like
    the NI's outgoing FIFO). *)
 let fl_send t pkt =
-  let em = Engine.metrics t.engine in
   let now = Engine.now t.engine in
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
   let words = (Packet.size_bytes pkt + 3) / 4 in
   let nf = max 1 ((words + t.config.flit_words - 1) / t.config.flit_words) in
-  let p = Array.of_list (path t ~src ~dst) in
+  let p =
+    Array.of_list
+      (List.map
+         (fun ab -> (fl_side (Hashtbl.find t.links ab)).fs_index)
+         (path t ~src ~dst))
+  in
   let w =
     { w_id = t.fl_next_worm; w_pkt = pkt; w_flits = nf; w_path = p;
       w_vcs = Array.make (Array.length p) (-1) }
@@ -1089,12 +1156,11 @@ let fl_send t pkt =
   t.fl_next_worm <- t.fl_next_worm + 1;
   let ready = now + t.config.base_cycles in
   for i = 0 to nf - 1 do
-    Queue.add
+    fl_push t t.fl_inject.(src)
       { f_worm = w; f_idx = i; f_hop = 0; f_ready = ready }
-      t.fl_inject.(src)
   done;
   t.fl_injected <- t.fl_injected + nf;
-  Metrics.add em "net.flit.injected" nf;
+  Metrics.bump_by t.fm_injected nf;
   Engine.schedule_at t.engine ~time:ready (fl_tick t)
 
 let send t pkt =
@@ -1291,8 +1357,12 @@ let flit_vc_occupancy t =
    credits + occupancy = capacity with occupancy within capacity. The
    planted [Flit_leak] drops a flit mid-retry (the sum comes up
    short); the planted [Double_grant] pushes two flits against one
-   credit (the per-FIFO identity breaks). Holds at every flit-cycle
-   in an unmutated router; trivially [None] in analytic mode. *)
+   credit (the per-FIFO identity breaks). The clock's own bookkeeping
+   is checked against a recount too: each link's interest count must
+   equal the FIFO fronts that target it (a missed update would skip a
+   link with work, or quiesce early), and each VC's running occupancy
+   the sum of its FIFOs'. Holds at every flit-cycle in an unmutated
+   router; trivially [None] in analytic mode. *)
 let check_flits t =
   if Array.length t.fl_links = 0 then None
   else begin
@@ -1326,9 +1396,49 @@ let check_flits t =
                            fb.fb_capacity))
                 fs.fs_bufs)
         t.fl_links;
+      if !bad = None then begin
+        let fronts = Array.make (Array.length t.fl_links) 0 in
+        let count q =
+          if not (Queue.is_empty q) then begin
+            let i = fl_target (Queue.peek q) in
+            fronts.(i) <- fronts.(i) + 1
+          end
+        in
+        Array.iter count t.fl_inject;
+        let occ = Array.make (Array.length t.fl_vc_occ) 0 in
+        Array.iter
+          (fun l ->
+            Array.iter
+              (fun fb ->
+                count fb.fb_q;
+                occ.(fb.fb_vc) <- occ.(fb.fb_vc) + fb.fb_occ)
+              (fl_side l).fs_bufs)
+          t.fl_links;
+        Array.iteri
+          (fun i l ->
+            if !bad = None && fronts.(i) <> t.fl_interest.(i) then
+              bad :=
+                Some
+                  (Printf.sprintf
+                     "link %d-%d: interest count %d <> %d FIFO fronts \
+                      targeting it"
+                     l.l_src l.l_dst t.fl_interest.(i) fronts.(i)))
+          t.fl_links;
+        Array.iteri
+          (fun v n ->
+            if !bad = None && n <> t.fl_vc_occ.(v) then
+              bad :=
+                Some
+                  (Printf.sprintf
+                     "vc %d: running occupancy %d <> %d buffered flits" v
+                     t.fl_vc_occ.(v) n))
+          occ
+      end;
       !bad
     end
   end
+
+let flit_link_visits t = t.fl_visits
 
 let publish_link_gauges t =
   let em = Engine.metrics t.engine in

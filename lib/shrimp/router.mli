@@ -272,8 +272,11 @@ val check_flits : t -> string option
 (** F1, flit conservation: [Some detail] iff flits injected differ
     from flits delivered plus flits sitting in FIFOs, or some finite
     input FIFO has [credits + occupancy <> capacity] (or occupancy
-    beyond capacity). Holds at {e every} flit-cycle in an unmutated
-    router; always [None] in analytic mode. *)
+    beyond capacity), or the flit clock's worklist bookkeeping differs
+    from a recount: a link's interest count from the number of FIFO
+    fronts that target it, or a VC's running occupancy from the sum of
+    its FIFOs'. Holds at {e every} flit-cycle in an unmutated router;
+    always [None] in analytic mode. *)
 
 type flit_stat = {
   fl_from : int;
@@ -299,6 +302,12 @@ val flit_vc_occupancy : t -> (float * int) array
 (** Per VC index: (mean, max) total buffered flits across all links,
     the mean taken over active flit-cycles — the per-VC occupancy
     profile E18 reports. *)
+
+val flit_link_visits : t -> int
+(** (link, flit-cycle) pairs the flit clock has visited so far. A tick
+    visits only the links some FIFO front targets, so an idle link
+    costs nothing; a plain counter, not published to the metrics
+    registry, so reports do not carry it. *)
 
 (** {1 Link statistics} (all zero unless [link_contention]) *)
 

@@ -167,14 +167,16 @@ let report_figure8 ?(sizes = Sizes.figure8) ?(messages = 32)
 (* shared single-node rig: machine + UDMA + one buffer device          *)
 (* ------------------------------------------------------------------ *)
 
-let buffer_rig ?(mode = Udma_engine.Basic) ?(mem_pages = 128) ?(dev_pages = 64)
+let rig_config ?(mode = Udma_engine.Basic) ?(mem_pages = 128) ?(dev_pages = 64)
     () =
-  let config =
-    { M.default_config with M.udma_mode = Some mode; mem_pages; dev_pages }
-  in
+  { M.default_config with M.udma_mode = Some mode; mem_pages; dev_pages }
+
+let buffer_rig ?mode ?mem_pages ?dev_pages () =
+  let config = rig_config ?mode ?mem_pages ?dev_pages () in
   let m = M.create ~config () in
   let udma = Option.get m.M.udma in
   let page_size = Layout.page_size m.M.layout in
+  let dev_pages = config.M.dev_pages in
   let port, store = Device.buffer "dev" ~size:(dev_pages * page_size) in
   Udma_engine.attach_device udma ~base_page:0 ~pages:dev_pages ~port ();
   (m, udma, port, store)
@@ -1507,6 +1509,8 @@ type shape_row = {
    initiation into elements scattered in reverse order within its
    device page, so every element stays inside one page — the shape the
    per-element clamp admits whole. *)
+let shape_chunk = 64
+
 let run_shape ~mode ~total shape p =
   let m, _udma, _, _ = buffer_rig ~mode () in
   watch p m.M.engine;
@@ -1549,9 +1553,9 @@ let run_shape ~mode ~total shape p =
         match shape with
         | Shape_contig -> assert false
         | Shape_strided f ->
-            (* chunk 64 every 64f bytes: each initiation's source span
+            (* one chunk every f chunks: each initiation's source span
                is exactly one page, the destination packs densely *)
-            let chunk = 64 in
+            let chunk = shape_chunk in
             let bytes_per_init = page_size / f in
             List.init (total / bytes_per_init) (fun k ->
                 ( Initiator.Memory buf,
@@ -1607,22 +1611,32 @@ let default_shape_cases =
 let quick_shape_cases =
   [ Shape_contig; Shape_strided 4; Shape_strided 64; Shape_sg 4; Shape_sg 256 ]
 
-(* The shapes [run_shape] can build: a whole number of pages, a stride
-   factor that splits the 64-byte chunk grid of a page evenly, and an
-   element count that splits each page-sized initiation evenly. *)
+(* The shapes [run_shape] can build on [buffer_rig]'s machine: a whole
+   number of pages that fits the device, a stride factor that splits
+   the page's [shape_chunk]-byte grid evenly, and an element count
+   that splits each page-sized initiation evenly. *)
 let validate_shapes ~total cases =
-  if total <= 0 || total mod 4096 <> 0 then
+  let rig = rig_config () in
+  let page_size = rig.M.page_size in
+  if total <= 0 || total mod page_size <> 0 then
     invalid_arg
-      (Printf.sprintf "E15: total %d is not a positive page multiple" total);
+      (Printf.sprintf
+         "E15: total %d is not a positive multiple of the %d-byte page" total
+         page_size);
+  if total / page_size > rig.M.dev_pages then
+    invalid_arg
+      (Printf.sprintf "E15: total %d needs %d pages, the device has %d"
+         total (total / page_size) rig.M.dev_pages);
+  let grid = page_size / shape_chunk in
   List.iter
     (function
       | Shape_contig -> ()
       | Shape_strided f ->
-          if f <= 0 || 64 mod f <> 0 then
+          if f <= 0 || grid mod f <> 0 then
             invalid_arg
-              (Printf.sprintf "E15: stride factor %d does not divide 64" f)
+              (Printf.sprintf "E15: stride factor %d does not divide %d" f grid)
       | Shape_sg n ->
-          if n < 2 || n mod 2 <> 0 || 4096 mod (n / 2) <> 0 then
+          if n < 2 || n mod 2 <> 0 || page_size mod (n / 2) <> 0 then
             invalid_arg
               (Printf.sprintf
                  "E15: sg element count %d is not twice a divisor of the page"

@@ -318,9 +318,11 @@ val quick_shape_cases : shape_case list
 
 val validate_shapes : total:int -> shape_case list -> unit
 (** Raises [Invalid_argument] unless [total] is a positive page
-    multiple, every stride factor divides 64 and every scatter-gather
-    count is twice a divisor of the page; both entry points below call
-    it before the first transfer. *)
+    multiple that fits the measuring machine's device pages, every
+    stride factor divides the page's 64-byte chunk grid and every
+    scatter-gather count is twice a divisor of the page, the page size
+    and device size read from the machine's configuration; both entry
+    points below call it before the first transfer. *)
 
 val transfer_shapes :
   ?total:int -> ?cases:shape_case list -> unit -> shape_row list

@@ -195,6 +195,28 @@ let test_crossover_anchor () =
   checkb "UDMA wins at 4KB by a lot" true
     ((at 4096).Runner.pio_cycles > 5.0 *. (at 4096).Runner.udma_cycles)
 
+(* E15's shape checks read the measuring rig: 4 KB pages, 64 device
+   pages. A 65-page total used to pass the check and die inside the
+   run with a bad-address syscall failure; the full 64 pages runs. *)
+let test_shape_total_fits_device () =
+  let rejected total =
+    match Runner.validate_shapes ~total [ Runner.Shape_contig ] with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  (match rejected (65 * 4096) with
+  | Some msg ->
+      checkb "65 pages: the message names total" true
+        (String.length msg >= 11 && String.sub msg 0 11 = "E15: total ")
+  | None -> Alcotest.fail "65 pages on a 64-page device accepted");
+  checkb "a non-page total is rejected" true (rejected 100 <> None);
+  checkb "64 pages accepted" true (rejected (64 * 4096) = None);
+  match
+    Runner.transfer_shapes ~total:(64 * 4096) ~cases:[ Runner.Shape_contig ] ()
+  with
+  | [ r ] -> checkb "64 pages move" true (r.Runner.sh_basic > 0)
+  | _ -> Alcotest.fail "one row per case"
+
 let test_queueing_anchor () =
   let rows = Runner.queueing ~total_sizes:[ 65536 ] ~depths:[ 4 ] () in
   match rows with
@@ -416,6 +438,8 @@ let () =
             test_i3_policy_anchor;
           Alcotest.test_case "update strategies crossover" `Quick
             test_update_strategy_anchor;
+          Alcotest.test_case "shape total must fit the device" `Quick
+            test_shape_total_fits_device;
         ] );
       ( "multi-device",
         [ Alcotest.test_case "three devices, one engine" `Quick test_multi_device_node ] );

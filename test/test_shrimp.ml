@@ -550,6 +550,47 @@ let test_flit_blocked_worm_credit_release () =
     (s13.Router.fl_stall_cycles > 0 && s13.Router.fl_hol_cycles = 0);
   checkb "conservation when drained" true (Router.check_flits r = None)
 
+(* Idle links cost the flit clock nothing: a tick visits only the links
+   a FIFO front targets. One single-flit worm (len = 0 is 4 words, one
+   4-word flit) crosses the 8x8 mesh; with per_hop_cycles = 1 it is
+   granted one hop per tick. A grant tick visits the granting link and,
+   when the flit's next link comes later in the (src, dst) scan order,
+   that link too (the scan reads interest live); the eject tick visits
+   the last link. 0 -> 63 runs east then south, always to a later link:
+   13 grant ticks visit 2 links, the last grant and the eject tick 1
+   each, 28 visits. 63 -> 0 runs west then north, always to an earlier
+   link: 14 grant ticks and the eject tick visit 1 link each, 15 visits.
+   A scan of all 224 links would make 224 visits per tick. *)
+let test_flit_idle_links_not_visited () =
+  let engine = Engine.create () in
+  let r =
+    Router.create ~engine ~nodes:64
+      ~config:
+        { Router.default_config with
+          Router.link_contention = true;
+          crossing = `Flit;
+          base_cycles = 2;
+          per_hop_cycles = 1;
+          per_word_cycles = 1;
+          flit_words = 4 }
+      ()
+  in
+  let arrival = ref (-1) in
+  Router.register r ~node_id:63 (fun _ -> arrival := Engine.now engine);
+  Router.register r ~node_id:0 (fun _ -> arrival := Engine.now engine);
+  Router.send r { (pkt ~len:0 0) with Packet.dst_node = 63 };
+  checki "one flit" 1 (let injected, _, _ = Router.flit_counts r in injected);
+  Engine.run_until_idle engine;
+  checki "0 -> 63 arrives at base + 14 hops" 16 !arrival;
+  checki "0 -> 63 visits 2 per hop" 28 (Router.flit_link_visits r);
+  let sent = Engine.now engine in
+  Router.send r { (pkt ~len:0 1) with Packet.src_node = 63; dst_node = 0 };
+  Engine.run_until_idle engine;
+  checki "63 -> 0 arrives at base + 14 hops" (sent + 16) !arrival;
+  checki "63 -> 0 visits 1 per hop plus the eject" 15
+    (Router.flit_link_visits r - 28);
+  checkb "bookkeeping matches a recount" true (Router.check_flits r = None)
+
 (* ---------- System + NI end to end ---------- *)
 
 let two_nodes () =
@@ -1029,6 +1070,8 @@ let () =
             test_flit_vc_interleaving;
           Alcotest.test_case "flit: blocked worm + credit release" `Quick
             test_flit_blocked_worm_credit_release;
+          Alcotest.test_case "flit: idle links are not visited" `Quick
+            test_flit_idle_links_not_visited;
         ] );
       ( "system",
         [
