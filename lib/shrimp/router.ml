@@ -165,6 +165,7 @@ type link = {
   mutable l_fault : fault;
   mutable l_rr : int;
   l_vcs : vc array;
+  l_ready : bool array;             (* claim_vc scratch: ready flag per VC *)
   mutable l_busy : (int * int) list;
   mutable l_pools : pool array;     (* [||] = unlimited credits *)
   mutable l_flit : flit_side option;  (* [Some] iff [crossing = `Flit] *)
@@ -216,16 +217,20 @@ type t = {
   config : config;
   node_count : int;
   width : int;
+  flit : bool;                         (* [`Flit] crossing under contention *)
   sinks : (Packet.t -> unit) option array;
-  last_arrival : (int * int, int) Hashtbl.t;
-      (* the in-order guarantee: [send] clamps every arrival to after
-         the pair's previous one. Under dimension-order the fixed path
-         plus FIFO links already deliver in order and the clamp is a
-         no-op; under minimal-adaptive or with several VCs, packets of
-         one pair may take different paths or channels, so the clamp is
-         what keeps the guarantee (see test_props: checked under
-         contention for both policies and with VCs + finite credits) *)
-  links : (int * int, link) Hashtbl.t;
+  last_arrival : int array;
+      (* the in-order guarantee, at [src * nodes + dst]: [send] clamps
+         every arrival to after the pair's previous one (-1 before the
+         first). Under dimension-order the fixed path plus FIFO links
+         already deliver in order and the clamp is a no-op; under
+         minimal-adaptive or with several VCs, packets of one pair may
+         take different paths or channels, so the clamp is what keeps
+         the guarantee (see test_props: checked under contention for
+         both policies and with VCs + finite credits) *)
+  links : link option array;
+      (* node [a]'s outgoing link in direction [d] at [a * 4 + d],
+         created on first touch (see [link_at]) *)
   trace : Trace.t;
   mutable packets_routed : int;
   mutable bytes_routed : int;
@@ -252,6 +257,19 @@ type t = {
   fm_busy_cycles : Metrics.counter;
   fm_stall_cycles : Metrics.counter;
   fm_hol_cycles : Metrics.counter;
+  (* analytic-walk handles *)
+  am_xmits : Metrics.counter;
+  am_wait_cycles : Metrics.counter;
+  am_queued : Metrics.counter;
+  am_depth : Metrics.series;
+  am_dead_crossings : Metrics.counter;
+  am_adaptive_turns : Metrics.counter;
+  am_vc_grants : Metrics.counter;
+  am_vc_grant : Metrics.counter array;  (* net.vc.grants.<vc> *)
+  am_vc_depth : Metrics.series;
+  am_credit_nacks : Metrics.counter;
+  am_credit_stalls : Metrics.counter;
+  am_credit_stall_cycles : Metrics.counter;
 }
 
 (* Width of the squarest mesh covering [nodes]. *)
@@ -279,6 +297,35 @@ let fresh_pools t =
   | Some n ->
       let now = Engine.now t.engine in
       Array.init t.config.vc_count (fun _ -> fresh_pool ~now n)
+
+let fresh_link t a b ~flit =
+  { l_src = a; l_dst = b; busy_until = 0; inflight = 0; l_max_depth = 0;
+    l_xmits = 0; l_busy_cycles = 0; l_wait_cycles = 0; l_fault = Link_ok;
+    l_rr = 0; l_vcs = Array.init t.config.vc_count (fun _ -> fresh_vc ());
+    l_ready = Array.make t.config.vc_count false; l_busy = [];
+    l_pools = fresh_pools t; l_flit = flit }
+
+(* Directed links are numbered by their source node and a direction:
+   [d] = 0 (to [a - width]), 1 ([a - 1]), 2 ([a + 1]), 3 ([a + width]).
+   That is ascending neighbour id, so [links] in slot order is in
+   (src, dst) order. *)
+let dir_y_down = 0
+let dir_x_down = 1
+let dir_x_up = 2
+let dir_y_up = 3
+
+let neighbour t a d =
+  if d = dir_y_down then a - t.width
+  else if d = dir_x_down then a - 1
+  else if d = dir_x_up then a + 1
+  else a + t.width
+
+(* The direction of the mesh link [a -> b]; [b] must be a neighbour. *)
+let dir_of t a b =
+  if b = a - t.width then dir_y_down
+  else if b = a - 1 then dir_x_down
+  else if b = a + 1 then dir_x_up
+  else dir_y_up
 
 let fl_fresh_buf cap vc =
   { fb_vc = vc; fb_capacity = cap; fb_credits = cap; fb_occ = 0;
@@ -321,14 +368,8 @@ let fl_build_links t =
                fs_hol_cycles = 0;
              }
            in
-           let l =
-             { l_src = a; l_dst = b; busy_until = 0; inflight = 0;
-               l_max_depth = 0; l_xmits = 0; l_busy_cycles = 0;
-               l_wait_cycles = 0; l_fault = Link_ok; l_rr = 0;
-               l_vcs = Array.init t.config.vc_count (fun _ -> fresh_vc ());
-               l_busy = []; l_pools = fresh_pools t; l_flit = Some fs }
-           in
-           Hashtbl.add t.links (a, b) l;
+           let l = fresh_link t a b ~flit:(Some fs) in
+           t.links.((a * 4) + dir_of t a b) <- Some l;
            l)
          (List.sort compare !pairs));
   t.fl_interest <- Array.make (Array.length t.fl_links) 0;
@@ -383,9 +424,10 @@ let create ~engine ~nodes ?(config = default_config) () =
       config;
       node_count = nodes;
       width;
+      flit;
       sinks = Array.make nodes None;
-      last_arrival = Hashtbl.create 16;
-      links = Hashtbl.create 64;
+      last_arrival = Array.make (nodes * nodes) (-1);
+      links = Array.make (nodes * 4) None;
       trace = Trace.create ~enabled:false ();
       packets_routed = 0;
       bytes_routed = 0;
@@ -412,6 +454,20 @@ let create ~engine ~nodes ?(config = default_config) () =
       fm_busy_cycles = Metrics.counter em "net.link.busy_cycles";
       fm_stall_cycles = Metrics.counter em "net.flit.stall_cycles";
       fm_hol_cycles = Metrics.counter em "net.flit.hol_stall_cycles";
+      am_xmits = Metrics.counter em "net.link.xmits";
+      am_wait_cycles = Metrics.counter em "net.link.wait_cycles";
+      am_queued = Metrics.counter em "net.link.queued";
+      am_depth = Metrics.series em "net.link.depth";
+      am_dead_crossings = Metrics.counter em "net.link.dead_crossings";
+      am_adaptive_turns = Metrics.counter em "net.router.adaptive_turns";
+      am_vc_grants = Metrics.counter em "net.vc.grants";
+      am_vc_grant =
+        Array.init config.vc_count (fun i ->
+            Metrics.counter em (Printf.sprintf "net.vc.grants.%d" i));
+      am_vc_depth = Metrics.series em "net.vc.depth";
+      am_credit_nacks = Metrics.counter em "net.credit.nacks";
+      am_credit_stalls = Metrics.counter em "net.credit.stalls";
+      am_credit_stall_cycles = Metrics.counter em "net.credit.stall_cycles";
     }
   in
   if flit then fl_build_links t;
@@ -455,19 +511,22 @@ let path t ~src ~dst =
   in
   go sx sy []
 
-let link_of t a b =
-  match Hashtbl.find_opt t.links (a, b) with
+(* Node [a]'s outgoing link in direction [d], created on first touch:
+   [link_stats] lists exactly the links some send, probe or fault
+   setting has touched. *)
+let link_at t a d =
+  let i = (a * 4) + d in
+  match t.links.(i) with
   | Some l -> l
   | None ->
-      let l =
-        { l_src = a; l_dst = b; busy_until = 0; inflight = 0;
-          l_max_depth = 0; l_xmits = 0; l_busy_cycles = 0; l_wait_cycles = 0;
-          l_fault = Link_ok; l_rr = 0;
-          l_vcs = Array.init t.config.vc_count (fun _ -> fresh_vc ());
-          l_busy = []; l_pools = fresh_pools t; l_flit = None }
-      in
-      Hashtbl.add t.links (a, b) l;
+      let l = fresh_link t a (neighbour t a d) ~flit:None in
+      t.links.(i) <- Some l;
       l
+
+let link_of t a b = link_at t a (dir_of t a b)
+
+let iter_links t f =
+  Array.iter (function Some l -> f l | None -> ()) t.links
 
 (* Resize the deposit FIFOs under load. Growing adds slots free at
    [now]; shrinking revokes the most-available slots first (largest
@@ -483,8 +542,7 @@ let set_rx_credits t credits =
   | Some _ | None -> ());
   t.rx_credits_now <- credits;
   let now = Engine.now t.engine in
-  Hashtbl.iter
-    (fun _ l ->
+  iter_links t (fun l ->
       match credits with
       | None -> l.l_pools <- [||]
       | Some n ->
@@ -506,7 +564,6 @@ let set_rx_credits t credits =
                   p.cp_free <- p.cp_free + (n - old)
                 end)
               l.l_pools)
-    t.links
 
 let set_link_fault t ~from_node ~to_node fault =
   check_node t from_node "set_link_fault";
@@ -524,49 +581,58 @@ let set_link_fault t ~from_node ~to_node fault =
 let link_fault t ~from_node ~to_node =
   check_node t from_node "link_fault";
   check_node t to_node "link_fault";
-  match Hashtbl.find_opt t.links (from_node, to_node) with
-  | Some l -> l.l_fault
-  | None -> Link_ok
+  if hops t ~src:from_node ~dst:to_node <> 1 then Link_ok
+  else
+    match t.links.((from_node * 4) + dir_of t from_node to_node) with
+    | Some l -> l.l_fault
+    | None -> Link_ok
 
 let occupancy_factor = function
   | Link_ok -> 1
   | Link_slow k -> k
   | Link_dead -> dead_crossing_factor
 
-(* One productive step from (x, y) toward (dx, dy). Dimension-order
-   always exhausts X first; minimal-adaptive picks, among the (at most
-   two) productive links, a live one over a dead one and then the one
-   with the smaller [busy_until], taking the X link on ties so an idle
-   mesh reproduces the dimension-order path exactly. *)
-let next_coord t ~x ~y ~dx ~dy =
-  let step v goal = if v < goal then v + 1 else v - 1 in
-  let xc = if x <> dx then Some (step x dx, y) else None in
-  let yc = if y <> dy then Some (x, step y dy) else None in
-  match (t.config.routing, xc, yc) with
-  | _, Some c, None | _, None, Some c -> c
-  | `Dimension_order, Some c, Some _ -> c
-  | `Minimal_adaptive, Some cx, Some cy ->
-      let a = node_id t ~x ~y in
-      let cost (cx', cy') =
-        let l = link_of t a (node_id t ~x:cx' ~y:cy') in
-        ((match l.l_fault with Link_dead -> 1 | Link_ok | Link_slow _ -> 0),
-         l.busy_until)
-      in
-      if cost cy < cost cx then cy else cx
-  | _, None, None -> invalid_arg "Router.next_coord: already at destination"
+let dead_rank l =
+  match l.l_fault with Link_dead -> 1 | Link_ok | Link_slow _ -> 0
+
+(* The direction of one productive step from node [a] at (x, y) toward
+   (dx, dy). Dimension-order always exhausts X first; minimal-adaptive
+   picks, among the (at most two) productive links, a live one over a
+   dead one and then the one with the smaller [busy_until], taking the
+   X link on ties so an idle mesh reproduces the dimension-order path
+   exactly. Its cost probes create both candidate links. *)
+let next_dir t a ~x ~y ~dx ~dy =
+  let xd = if x < dx then dir_x_up else dir_x_down in
+  let yd = if y < dy then dir_y_up else dir_y_down in
+  if x = dx then
+    if y = dy then invalid_arg "Router.next_dir: already at destination"
+    else yd
+  else if y = dy then xd
+  else
+    match t.config.routing with
+    | `Dimension_order -> xd
+    | `Minimal_adaptive ->
+        let lx = link_at t a xd and ly = link_at t a yd in
+        let rx = dead_rank lx and ry = dead_rank ly in
+        if ry < rx || (ry = rx && ly.busy_until < lx.busy_until) then yd
+        else xd
 
 (* The links the configured policy would pick right now, against the
    current link state, without claiming anything. Under
    [`Dimension_order] this equals [path]. *)
 let route t ~src ~dst =
-  let sx, sy = coords t src and dx, dy = coords t dst in
-  let rec go x y acc =
-    if x = dx && y = dy then List.rev acc
+  check_node t src "route";
+  let dx, dy = coords t dst in
+  let rec go a acc =
+    if a = dst then List.rev acc
     else
-      let x', y' = next_coord t ~x ~y ~dx ~dy in
-      go x' y' ((node_id t ~x ~y, node_id t ~x:x' ~y:y') :: acc)
+      let b =
+        neighbour t a
+          (next_dir t a ~x:(a mod t.width) ~y:(a / t.width) ~dx ~dy)
+      in
+      go b ((a, b) :: acc)
   in
-  go sx sy []
+  go src []
 
 let register t ~node_id sink =
   check_node t node_id "register";
@@ -584,33 +650,37 @@ let latency_cycles t ~src ~dst ~bytes =
    is the deliberate bug the N2 oracle must catch: it pins every grant
    to VC 0, so a ready VC's skip streak grows past [vc_count]. *)
 let claim_vc t l ~head =
-  let vcn = Array.length l.l_vcs in
+  let vcs = l.l_vcs in
+  let vcn = Array.length vcs in
   if vcn = 1 then 0
   else begin
-    let ready = Array.map (fun v -> v.v_tail <= head) l.l_vcs in
+    let ready = l.l_ready in
+    for i = 0 to vcn - 1 do
+      ready.(i) <- vcs.(i).v_tail <= head
+    done;
     let c =
       match t.mutation with
       | Some Arb_stuck -> 0
-      | Some (Credit_leak | Flit_leak | Double_grant) | None -> (
-          match arbitrate ~rr:l.l_rr ~ready with
-          | Some v -> v
-          | None ->
-              let best = ref 0 in
-              Array.iteri
-                (fun i v -> if v.v_tail < l.l_vcs.(!best).v_tail then best := i)
-                l.l_vcs;
-              !best)
+      | Some (Credit_leak | Flit_leak | Double_grant) | None ->
+          let v = arbitrate_index ~rr:l.l_rr ~ready in
+          if v >= 0 then v
+          else begin
+            let best = ref 0 in
+            for i = 1 to vcn - 1 do
+              if vcs.(i).v_tail < vcs.(!best).v_tail then best := i
+            done;
+            !best
+          end
     in
-    Array.iteri
-      (fun i v ->
-        if i = c then v.v_skip_streak <- 0
-        else if ready.(i) then begin
-          v.v_skip_streak <- v.v_skip_streak + 1;
-          if v.v_skip_streak > v.v_max_skip then
-            v.v_max_skip <- v.v_skip_streak
-        end
-        else v.v_skip_streak <- 0)
-      l.l_vcs;
+    for i = 0 to vcn - 1 do
+      let v = vcs.(i) in
+      if i = c then v.v_skip_streak <- 0
+      else if ready.(i) then begin
+        v.v_skip_streak <- v.v_skip_streak + 1;
+        if v.v_skip_streak > v.v_max_skip then v.v_max_skip <- v.v_skip_streak
+      end
+      else v.v_skip_streak <- 0
+    done;
     l.l_rr <- (c + 1) mod vcn;
     c
   end
@@ -651,63 +721,57 @@ let rec prune_iv now busy =
    and the event schedule are identical — the property the E1/E2/E11/
    E12 anchors pin down. *)
 let contended_arrival t ~now ~src ~dst ~words =
-  let em = Engine.metrics t.engine in
   let occ = words * t.config.per_word_cycles in
   let head = ref (now + t.config.base_cycles) in
   (* the packet's own tail cannot clear a link faster than that link's
      (fault-scaled) occupancy; on healthy links this is always beaten
      by the head+occ term below, so it only matters on slow/dead links *)
   let tail = ref 0 in
-  let dx, dy = coords t dst in
-  let x = ref (fst (coords t src)) and y = ref (snd (coords t src)) in
-  while !x <> dx || !y <> dy do
-    let a = node_id t ~x:!x ~y:!y in
-    let x', y' = next_coord t ~x:!x ~y:!y ~dx ~dy in
-    if !x <> dx && !y <> dy && y' <> !y then
+  let w = t.width in
+  let dx = dst mod w and dy = dst / w in
+  let a = ref src in
+  while !a <> dst do
+    let x = !a mod w and y = !a / w in
+    let d = next_dir t !a ~x ~y ~dx ~dy in
+    if x <> dx && y <> dy && (d = dir_y_up || d = dir_y_down) then
       (* adaptive took the Y link although X was productive too *)
-      Metrics.incr em "net.router.adaptive_turns";
-    let b = node_id t ~x:x' ~y:y' in
-    let l = link_of t a b in
+      Metrics.bump t.am_adaptive_turns;
+    let l = link_at t !a d in
     let locc = occ * occupancy_factor l.l_fault in
-    if l.l_fault = Link_dead then Metrics.incr em "net.link.dead_crossings";
+    (match l.l_fault with
+    | Link_dead -> Metrics.bump t.am_dead_crossings
+    | Link_ok | Link_slow _ -> ());
     let vcn = Array.length l.l_vcs in
     let ci = claim_vc t l ~head:!head in
     let v = l.l_vcs.(ci) in
     (* deposit-side credit for the receive FIFO behind this link: take
        the slot that frees soonest; on a dead link the grant is pushed
        to the next NACK'd retry poll *)
-    let pinfo =
-      if Array.length l.l_pools = 0 then None
-      else begin
-        let p = l.l_pools.(ci) in
-        let si = ref 0 in
-        Array.iteri
-          (fun i ft -> if ft < p.cp_slots.(!si) then si := i)
-          p.cp_slots;
-        let slot_free = p.cp_slots.(!si) in
-        let granted =
-          if slot_free <= !head then !head
-          else
-            match l.l_fault with
-            | Link_dead ->
-                let polls =
-                  (slot_free - !head + nack_retry_cycles - 1)
-                  / nack_retry_cycles
-                in
-                Metrics.add em "net.credit.nacks" polls;
-                !head + (polls * nack_retry_cycles)
-            | Link_ok | Link_slow _ -> slot_free
-        in
-        Some (p, !si, slot_free, granted)
-      end
-    in
+    let pooled = Array.length l.l_pools > 0 in
+    let si = ref 0 and slot_free = ref 0 in
+    if pooled then begin
+      let slots = l.l_pools.(ci).cp_slots in
+      for i = 1 to Array.length slots - 1 do
+        if slots.(i) < slots.(!si) then si := i
+      done;
+      slot_free := slots.(!si)
+    end;
     let credit_floor =
-      match pinfo with None -> !head | Some (_, _, _, g) -> g
+      if (not pooled) || !slot_free <= !head then !head
+      else
+        match l.l_fault with
+        | Link_dead ->
+            let polls =
+              (!slot_free - !head + nack_retry_cycles - 1) / nack_retry_cycles
+            in
+            Metrics.bump_by t.am_credit_nacks polls;
+            !head + (polls * nack_retry_cycles)
+        | Link_ok | Link_slow _ -> !slot_free
     in
     let cstall = credit_floor - !head in
     if cstall > 0 then begin
-      Metrics.incr em "net.credit.stalls";
-      Metrics.add em "net.credit.stall_cycles" cstall
+      Metrics.bump t.am_credit_stalls;
+      Metrics.bump_by t.am_credit_stall_cycles cstall
     end;
     let earliest = max credit_floor v.v_tail in
     let start =
@@ -724,54 +788,57 @@ let contended_arrival t ~now ~src ~dst ~words =
     if l.inflight > l.l_max_depth then l.l_max_depth <- l.inflight;
     if wait > 0 then begin
       l.l_wait_cycles <- l.l_wait_cycles + wait;
-      Metrics.add em "net.link.wait_cycles" wait;
-      Metrics.incr em "net.link.queued";
+      Metrics.bump_by t.am_wait_cycles wait;
+      Metrics.bump t.am_queued;
       if Trace.active t.trace then
         Trace.record t.trace ~time:now Event.Ni
           (Event.Link_wait
-             { from_node = a; to_node = b; wait; depth = l.inflight })
+             { from_node = !a; to_node = l.l_dst; wait; depth = l.inflight })
     end;
-    Metrics.observe em "net.link.depth" l.inflight;
+    Metrics.record t.am_depth l.inflight;
     if start + locc > l.busy_until then l.busy_until <- start + locc;
     if start + locc > !tail then tail := start + locc;
     l.l_xmits <- l.l_xmits + 1;
     l.l_busy_cycles <- l.l_busy_cycles + locc;
-    Metrics.incr em "net.link.xmits";
-    Metrics.add em "net.link.busy_cycles" locc;
+    Metrics.bump t.am_xmits;
+    Metrics.bump_by t.fm_busy_cycles locc;
     v.v_tail <- start + locc;
     v.v_inflight <- v.v_inflight + 1;
     if v.v_inflight > v.v_max_depth then v.v_max_depth <- v.v_inflight;
     if vcn > 1 then begin
       v.v_grants <- v.v_grants + 1;
-      Metrics.incr em "net.vc.grants";
-      Metrics.incr em (Printf.sprintf "net.vc.grants.%d" ci);
-      Metrics.observe em "net.vc.depth" v.v_inflight
+      Metrics.bump t.am_vc_grants;
+      Metrics.bump t.am_vc_grant.(ci);
+      Metrics.record t.am_vc_depth v.v_inflight
     end;
-    (match pinfo with
-    | None -> ()
-    | Some (p, si, slot_free, _) ->
-        let rel = start + locc + t.config.per_hop_cycles in
-        let leak = t.mutation = Some Credit_leak && not t.leak_used in
-        if leak then t.leak_used <- true;
-        (* a leaked slot never frees: the deposit side forgets to
-           return the credit, which is exactly what N1 must catch *)
-        p.cp_slots.(si) <- (if leak then max_int / 2 else rel);
-        let reserve_at = max now slot_free in
-        Engine.schedule_at t.engine ~time:reserve_at (fun _ ->
-            p.cp_free <- p.cp_free - 1;
-            p.cp_held <- p.cp_held + 1);
-        Engine.schedule_at t.engine ~time:start (fun _ ->
-            p.cp_held <- p.cp_held - 1;
-            p.cp_inflight <- p.cp_inflight + 1);
-        Engine.schedule_at t.engine ~time:rel (fun _ ->
-            p.cp_inflight <- p.cp_inflight - 1;
-            if not leak then p.cp_free <- p.cp_free + 1));
+    if pooled then begin
+      let p = l.l_pools.(ci) in
+      let rel = start + locc + t.config.per_hop_cycles in
+      let leak =
+        match t.mutation with
+        | Some Credit_leak -> not t.leak_used
+        | Some (Arb_stuck | Flit_leak | Double_grant) | None -> false
+      in
+      if leak then t.leak_used <- true;
+      (* a leaked slot never frees: the deposit side forgets to
+         return the credit, which is exactly what N1 must catch *)
+      p.cp_slots.(!si) <- (if leak then max_int / 2 else rel);
+      let reserve_at = max now !slot_free in
+      Engine.schedule_at t.engine ~time:reserve_at (fun _ ->
+          p.cp_free <- p.cp_free - 1;
+          p.cp_held <- p.cp_held + 1);
+      Engine.schedule_at t.engine ~time:start (fun _ ->
+          p.cp_held <- p.cp_held - 1;
+          p.cp_inflight <- p.cp_inflight + 1);
+      Engine.schedule_at t.engine ~time:rel (fun _ ->
+          p.cp_inflight <- p.cp_inflight - 1;
+          if not leak then p.cp_free <- p.cp_free + 1)
+    end;
     Engine.schedule_at t.engine ~time:(start + locc) (fun _ ->
         l.inflight <- l.inflight - 1;
         v.v_inflight <- v.v_inflight - 1);
     head := start + t.config.per_hop_cycles;
-    x := x';
-    y := y'
+    a := l.l_dst
   done;
   max (!head + occ) !tail
 
@@ -792,9 +859,12 @@ let injection_ready t ~src ~dst =
   else begin
     check_node t src "injection_ready";
     check_node t dst "injection_ready";
-    let sx, sy = coords t src and dx, dy = coords t dst in
-    let x', y' = next_coord t ~x:sx ~y:sy ~dx ~dy in
-    let l = link_of t (node_id t ~x:sx ~y:sy) (node_id t ~x:x' ~y:y') in
+    let w = t.width in
+    let l =
+      link_at t src
+        (next_dir t src ~x:(src mod w) ~y:(src / w) ~dx:(dst mod w)
+           ~dy:(dst / w))
+    in
     if Array.length l.l_pools = 0 then now
     else begin
       let best = ref max_int in
@@ -886,20 +956,23 @@ let fl_visit t fs now =
     t.fl_visits <- t.fl_visits + 1
   end
 
+(* The in-order clamp: the pair's arrival no earlier than [nominal] and
+   strictly after its previous one. *)
+let clamp_arrival t ~src ~dst nominal =
+  let i = (src * t.node_count) + dst in
+  let arrival = max nominal (t.last_arrival.(i) + 1) in
+  t.last_arrival.(i) <- arrival;
+  arrival
+
 (* Worm completion: the tail flit ejected. Same in-order clamp as the
    analytic path: the pair's arrival is pushed after its previous one
    (body flits of one pair never interleave on the fixed path, but the
    clamp keeps the delivery contract uniform across crossings). *)
 let fl_deliver t w now =
   let pkt = w.w_pkt in
-  let key = (pkt.Packet.src_node, pkt.Packet.dst_node) in
-  let earliest =
-    match Hashtbl.find_opt t.last_arrival key with
-    | Some last -> last + 1
-    | None -> 0
+  let arrival =
+    clamp_arrival t ~src:pkt.Packet.src_node ~dst:pkt.Packet.dst_node now
   in
-  let arrival = max now earliest in
-  Hashtbl.replace t.last_arrival key arrival;
   match t.sinks.(pkt.Packet.dst_node) with
   | Some sink -> Engine.schedule_at t.engine ~time:arrival (fun _ -> sink pkt)
   | None -> ()
@@ -1146,7 +1219,7 @@ let fl_send t pkt =
   let p =
     Array.of_list
       (List.map
-         (fun ab -> (fl_side (Hashtbl.find t.links ab)).fs_index)
+         (fun (a, b) -> (fl_side (link_of t a b)).fs_index)
          (path t ~src ~dst))
   in
   let w =
@@ -1173,37 +1246,24 @@ let send t pkt =
   | Some sink ->
       let bytes = Packet.size_bytes pkt in
       let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
-      let now = Engine.now t.engine in
-      if
-        t.config.crossing = `Flit && t.config.link_contention && src <> dst
-      then begin
-        t.packets_routed <- t.packets_routed + 1;
-        t.bytes_routed <- t.bytes_routed + bytes;
-        fl_send t pkt
-      end
-      else begin
-      let uncontended = now + latency_cycles t ~src ~dst ~bytes in
-      let nominal =
-        if t.config.link_contention then
-          contended_arrival t ~now ~src ~dst ~words:((bytes + 3) / 4)
-        else uncontended
-      in
-      let key = (src, dst) in
-      let earliest =
-        match Hashtbl.find_opt t.last_arrival key with
-        | Some last -> last + 1
-        | None -> 0
-      in
-      let arrival = max nominal earliest in
-      Hashtbl.replace t.last_arrival key arrival;
       t.packets_routed <- t.packets_routed + 1;
       t.bytes_routed <- t.bytes_routed + bytes;
-      Engine.schedule t.engine ~delay:(arrival - now) (fun _ -> sink pkt)
+      if t.flit && src <> dst then fl_send t pkt
+      else begin
+        let now = Engine.now t.engine in
+        let nominal =
+          if t.config.link_contention then
+            contended_arrival t ~now ~src ~dst ~words:((bytes + 3) / 4)
+          else now + latency_cycles t ~src ~dst ~bytes
+        in
+        let arrival = clamp_arrival t ~src ~dst nominal in
+        Engine.schedule t.engine ~delay:(arrival - now) (fun _ -> sink pkt)
       end
 
 let sorted_links t =
-  Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
-  |> List.sort (fun a b -> compare (a.l_src, a.l_dst) (b.l_src, b.l_dst))
+  Array.fold_right
+    (fun o acc -> match o with Some l -> l :: acc | None -> acc)
+    t.links []
 
 let link_stats t =
   List.map

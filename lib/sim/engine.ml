@@ -69,20 +69,15 @@ let with_category t cat f =
    own timestamp while events run; the gap up to an event is charged to
    the event's category when it carries one (a DMA burst completing
    attributes the burst cycles to Dma, not to whoever was polling). *)
-let pump t horizon =
-  let rec loop () =
-    match Eventq.peek_time t.queue with
-    | Some time when time <= horizon -> (
-        match Eventq.pop t.queue with
-        | Some (time, (ev, cat)) ->
-            tick t ?cat time;
-            Metrics.bump t.fired;
-            ev t;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ()
+let rec pump t horizon =
+  let time = Eventq.min_time t.queue in
+  if time <= horizon && not (Eventq.is_empty t.queue) then begin
+    let ev, cat = Eventq.take t.queue in
+    tick t ?cat time;
+    Metrics.bump t.fired;
+    ev t;
+    pump t horizon
+  end
 
 let run_until t time =
   if time > t.clock then begin
@@ -94,17 +89,7 @@ let advance t cost =
   if cost < 0 then invalid_arg "Engine.advance: negative cost";
   run_until t (t.clock + cost)
 
-let run_until_idle t =
-  let rec loop () =
-    match Eventq.pop t.queue with
-    | Some (time, (ev, cat)) ->
-        tick t ?cat time;
-        Metrics.bump t.fired;
-        ev t;
-        loop ()
-    | None -> ()
-  in
-  loop ()
+let run_until_idle t = pump t max_int
 
 let pending_events t = Eventq.length t.queue
 
@@ -119,7 +104,7 @@ let wait_for t ?(poll_cost = 2) ?(max_polls = 10_000_000) cond =
       (* Jump straight to the next event when polling would only spin
          through empty cycles; the clock ends at the same place as if
          every intermediate poll had been simulated. *)
-      let next = Option.value (Eventq.peek_time t.queue) ~default:t.clock in
+      let next = Eventq.min_time t.queue in
       if t.clock + poll_cost < next then run_until t next
       else advance t poll_cost;
       loop (polls + 1)

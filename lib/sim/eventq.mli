@@ -9,9 +9,12 @@
     count. Legacy callers omit it (all keys equal → pure FIFO ties,
     the historical order).
 
-    Popped and cleared slots are explicitly nulled so the queue never
-    keeps dead event closures (and whatever they capture — engines,
-    buffers, metrics) reachable. *)
+    The heap is stored as structure-of-arrays — time, key and sequence
+    number in unboxed [int] arrays, payloads in a parallel array — so
+    {!push}, {!min_time} and {!take} allocate nothing once the arrays
+    have grown to the queue's peak depth. Taken and cleared slots are
+    explicitly nulled so the queue never keeps dead event closures (and
+    whatever they capture — engines, buffers, metrics) reachable. *)
 
 type 'a t
 (** Mutable event queue holding payloads of type ['a]. *)
@@ -30,13 +33,23 @@ val push : 'a t -> time:int -> ?key:int -> 'a -> unit
     [key] (default 0) breaks time ties before insertion order.
     Raises [Invalid_argument] if [time < 0]. *)
 
+val min_time : 'a t -> int
+(** [min_time q] is the firing time of the earliest event, or [max_int]
+    when [q] is empty. Allocates nothing. *)
+
+val take : 'a t -> 'a
+(** [take q] removes the earliest event and returns its payload; its
+    time is the {!min_time} read just before. Ties fire in (key,
+    insertion) order. The vacated heap slot is cleared, so the returned
+    payload is the only remaining reference. Allocates nothing. Raises
+    [Invalid_argument] if [q] is empty. *)
+
 val peek_time : 'a t -> int option
 (** [peek_time q] is the firing time of the earliest event, if any. *)
 
 val pop : 'a t -> (int * 'a) option
-(** [pop q] removes and returns the earliest event as [(time, payload)].
-    Ties fire in (key, insertion) order. The vacated heap slot is
-    cleared, so the returned payload is the only remaining reference. *)
+(** [pop q] is [Some (min_time q, take q)], or [None] when [q] is
+    empty. *)
 
 val clear : 'a t -> unit
 (** [clear q] discards all pending events and drops every reference to

@@ -233,19 +233,19 @@ let run ?probe (cfg : config) =
   let measure_start = t0 + cfg.warmup_cycles in
   let t_end = measure_start + cfg.window_cycles in
   let em = Engine.metrics engine in
-  (* delivery bookkeeping: per-(src,dst) FIFO of in-flight messages.
-     Sound because each message is one packet and the router delivers
-     in order per pair — under both routing policies (adaptive paths
-     vary, but the router clamps per-pair arrivals to send order). *)
-  let inflight = Hashtbl.create 64 in
-  let inflight_q key =
-    match Hashtbl.find_opt inflight key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.add inflight key q;
-        q
-  in
+  let m_latency = Metrics.series em "traffic.latency_cycles"
+  and m_delivered = Metrics.counter em "traffic.delivered"
+  and m_credit_stalls = Metrics.counter em "traffic.credit_stalls"
+  and m_credit_stall_cycles = Metrics.counter em "traffic.credit_stall_cycles"
+  and m_launched = Metrics.counter em "traffic.launched"
+  and m_injected = Metrics.counter em "traffic.injected" in
+  (* delivery bookkeeping: per-(src,dst) FIFO of in-flight messages, at
+     [src * nodes + dst]. Sound because each message is one packet and
+     the router delivers in order per pair — under both routing
+     policies (adaptive paths vary, but the router clamps per-pair
+     arrivals to send order). *)
+  let inflight = Array.init (nodes * nodes) (fun _ -> Queue.create ()) in
+  let inflight_q src dst = inflight.((src * nodes) + dst) in
   let injected = ref 0 and launched = ref 0 and delivered = ref 0 in
   let lat_acc = ref [] in
   Array.iteri
@@ -253,7 +253,7 @@ let run ?probe (cfg : config) =
       let ni = node.System.ni in
       Router.register router ~node_id:d (fun pkt ->
           Network_interface.receive ni pkt;
-          let q = inflight_q (pkt.Udma_shrimp.Packet.src_node, d) in
+          let q = inflight_q pkt.Udma_shrimp.Packet.src_node d in
           if not (Queue.is_empty q) then begin
             let msg = Queue.pop q in
             let now = Engine.now engine in
@@ -261,8 +261,8 @@ let run ?probe (cfg : config) =
               incr delivered;
               let lat = now - msg.born in
               lat_acc := lat :: !lat_acc;
-              Metrics.observe em "traffic.latency_cycles" lat;
-              Metrics.incr em "traffic.delivered"
+              Metrics.record m_latency lat;
+              Metrics.bump m_delivered
             end;
             match msg.on_deliver with
             | Some k -> k (Engine.now engine)
@@ -288,16 +288,16 @@ let run ?probe (cfg : config) =
     if ready > now then begin
       incr credit_stalls;
       credit_stall_cycles := !credit_stall_cycles + (ready - now);
-      Metrics.incr em "traffic.credit_stalls";
-      Metrics.add em "traffic.credit_stall_cycles" (ready - now);
+      Metrics.bump m_credit_stalls;
+      Metrics.bump_by m_credit_stall_cycles (ready - now);
       Engine.schedule_at engine ~time:ready (fun _ -> launch s)
     end
     else begin
       let dst, msg = Queue.pop s.q in
-      Queue.push msg (inflight_q (s.src, dst));
+      Queue.push msg (inflight_q s.src dst);
       Messaging.inject (channel s.src dst) payload;
       incr launched;
-      Metrics.incr em "traffic.launched";
+      Metrics.bump m_launched;
       s.serving <- false;
       pump s
     end
@@ -311,7 +311,7 @@ let run ?probe (cfg : config) =
     let now = Engine.now engine in
     if now >= measure_start && now < t_end then begin
       incr injected;
-      Metrics.incr em "traffic.injected"
+      Metrics.bump m_injected
     end;
     Queue.push (dst, { born = now; on_deliver }) s.q;
     pump s

@@ -306,6 +306,24 @@ let test_adaptive_idle_matches_dimension_order () =
     done
   done
 
+(* Links are created on first touch, and a minimal-adaptive cost probe
+   touches both productive links: one corner-to-corner packet on an idle
+   3x3 mesh crosses 0->1->2->5->8, and [link_stats] lists, in (src, dst)
+   order, those four links plus the Y links 0->3 and 1->4 its probes at
+   nodes 0 and 1 looked at, never crossed. *)
+let test_adaptive_probes_listed () =
+  let engine, r = adaptive_router ~nodes:9 () in
+  Router.register r ~node_id:8 (fun _ -> ());
+  Router.send r { (pkt 1) with Packet.dst_node = 8 };
+  Engine.run_until_idle engine;
+  Alcotest.(check (list (triple int int int)))
+    "touched links and their crossings"
+    [ (0, 1, 1); (0, 3, 0); (1, 2, 1); (1, 4, 0); (2, 5, 1); (5, 8, 1) ]
+    (List.map
+       (fun (l : Router.link_stat) ->
+         (l.Router.from_node, l.Router.to_node, l.Router.xmits))
+       (Router.link_stats r))
+
 (* 2x2 mesh, X link 0->1 killed: adaptive must take the Y detour
    0->2->3 and never touch the dead link; the detour has the same hop
    count, so the arrival is still the closed form. *)
@@ -1056,6 +1074,8 @@ let () =
             test_adaptive_idle_matches_dimension_order;
           Alcotest.test_case "adaptive routes around a dead link" `Quick
             test_adaptive_routes_around_dead_link;
+          Alcotest.test_case "adaptive cost probes create links" `Quick
+            test_adaptive_probes_listed;
           Alcotest.test_case "dimension order crosses a dead link" `Quick
             test_dimension_order_crosses_dead_link;
           Alcotest.test_case "slow link stretches occupancy" `Quick

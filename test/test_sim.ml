@@ -100,6 +100,27 @@ let test_eventq_pop_releases () =
   checkb "payload collectable once popped" false (Weak.check w 0);
   checki "other event still queued" 1 (Eventq.length q)
 
+(* Draining by [take] must not leave a stale copy behind either: a take
+   moves the last entry into the vacated root, and the slot it came
+   from must be cleared too, or that payload outlives its own take. *)
+let[@inline never] take_and_drop q = ignore (Eventq.take q)
+
+let test_eventq_take_releases () =
+  let q = Eventq.create () in
+  let ws = List.init 3 (fun i -> push_tracked q (10 * (i + 1))) in
+  for _ = 1 to 3 do
+    take_and_drop q
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  List.iteri
+    (fun i w ->
+      checkb (Printf.sprintf "payload %d collectable once taken" i) false
+        (Weak.check w 0))
+    ws;
+  (* the queue itself must still be live while the payloads are checked *)
+  checki "drained" 0 (Eventq.length q)
+
 let test_eventq_clear_releases () =
   let q = Eventq.create () in
   let ws = List.init 3 (fun i -> push_tracked q (10 * (i + 1))) in
@@ -112,12 +133,13 @@ let test_eventq_clear_releases () =
         (Weak.check w 0))
     ws
 
-(* qcheck: an interleaved push/pop/clear trace agrees with a sorted-list
-   reference model — global time order, and among equal (time, key) the
-   push order (FIFO). *)
+(* qcheck: an interleaved push/pop/take/clear trace agrees with a
+   sorted-list reference model — global time order, and among equal
+   (time, key) the push order (FIFO). Before every pop or take,
+   [min_time] must be the model's earliest time ([max_int] when empty). *)
 let qtest = QCheck_alcotest.to_alcotest
 
-type eventq_op = Push of int * int | Pop | Clear
+type eventq_op = Push of int * int | Pop | Take | Clear
 
 let eventq_model_prop =
   let open QCheck in
@@ -126,13 +148,15 @@ let eventq_model_prop =
       frequency
         [
           (6, map2 (fun t k -> Push (t, k)) (int_bound 20) (int_bound 3));
-          (3, return Pop);
+          (2, return Pop);
+          (2, return Take);
           (1, return Clear);
         ])
   in
   let print_op = function
     | Push (t, k) -> Printf.sprintf "push(t=%d,k=%d)" t k
     | Pop -> "pop"
+    | Take -> "take"
     | Clear -> "clear"
   in
   let arb = make ~print:(Print.list print_op) Gen.(list_size (1 -- 60) gen_op) in
@@ -141,6 +165,10 @@ let eventq_model_prop =
       let model = ref [] in
       let next_id = ref 0 in
       let ok = ref true in
+      let check_min () =
+        let expected = match !model with [] -> max_int | (t, _, _) :: _ -> t in
+        if Eventq.min_time q <> expected then ok := false
+      in
       List.iter
         (fun op ->
           match op with
@@ -154,16 +182,49 @@ let eventq_model_prop =
                   (fun (t1, k1, _) (t2, k2, _) -> compare (t1, k1) (t2, k2))
                   (!model @ [ (t, k, id) ])
           | Pop -> (
+              check_min ();
               match (Eventq.pop q, !model) with
               | None, [] -> ()
               | Some (t, id), (mt, _, mid) :: rest ->
                   if t <> mt || id <> mid then ok := false else model := rest
               | Some _, [] | None, _ :: _ -> ok := false)
+          | Take -> (
+              check_min ();
+              match !model with
+              | [] -> (
+                  match Eventq.take q with
+                  | _ -> ok := false
+                  | exception Invalid_argument _ -> ())
+              | (_, _, mid) :: rest ->
+                  if Eventq.take q <> mid then ok := false else model := rest)
           | Clear ->
               Eventq.clear q;
               model := [])
         ops;
       !ok && Eventq.length q = List.length !model)
+
+(* The hot-path contract: once the heap arrays have grown to the
+   queue's depth, a push plus a [min_time]/[take] of an immediate
+   payload allocates nothing — no option, no tuple, no boxed entry. *)
+let test_eventq_no_alloc () =
+  let q = Eventq.create () in
+  for i = 0 to 99 do
+    Eventq.push q ~time:i i
+  done;
+  let cycle n =
+    for i = 1 to n do
+      let t = Eventq.min_time q in
+      let v = Eventq.take q in
+      Eventq.push q ~time:(t + 37 + (v land 7)) i
+    done
+  in
+  cycle 1_000;
+  let before = Gc.minor_words () in
+  cycle 10_000;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10 000 push/take pairs" 0.0
+    (after -. before);
+  checki "depth unchanged" 100 (Eventq.length q)
 
 (* ---------- Engine ---------- *)
 
@@ -485,9 +546,13 @@ let () =
           Alcotest.test_case "negative time" `Quick test_eventq_negative_time;
           Alcotest.test_case "pop releases payload" `Quick
             test_eventq_pop_releases;
+          Alcotest.test_case "take releases every payload" `Quick
+            test_eventq_take_releases;
           Alcotest.test_case "clear releases payloads" `Quick
             test_eventq_clear_releases;
           qtest eventq_model_prop;
+          Alcotest.test_case "push/take allocate nothing" `Quick
+            test_eventq_no_alloc;
           Alcotest.test_case "clear" `Quick test_eventq_clear;
           Alcotest.test_case "peek" `Quick test_eventq_peek;
         ] );

@@ -218,6 +218,46 @@ let test_load_gen_credit_stalls () =
   checkb "backpressure bounds the link FIFOs" true
     (credited.Load_gen.link_max_depth <= unlimited.Load_gen.link_max_depth)
 
+(* The analytic walk publishes its per-hop counters through metric
+   handles; this pins what they must add up to on a contended 16-node
+   run with 2 VCs and 4 deposit credits: the VC grant total is the sum
+   of the per-VC counters, every link crossing is one [net.link.xmits]
+   (the sum of the router's per-link counts) and one [net.link.depth]
+   sample. *)
+let test_load_gen_analytic_metric_wiring () =
+  let cfg =
+    { small_cfg with
+      Load_gen.nodes = 16;
+      arrival = Arrival.Poisson { per_kcycle = 3.0 };
+      msg_bytes = 1024;
+      link_per_word = 2;
+      vc_count = 2;
+      rx_credits = Some 4 }
+  in
+  let engine = ref None in
+  let r = Load_gen.run cfg ~probe:(fun e -> engine := Some e) in
+  let m = Udma_sim.Engine.metrics (Option.get !engine) in
+  let get = Udma_obs.Metrics.get m in
+  let grants = get "net.vc.grants" in
+  checkb "both VCs granted" true
+    (get "net.vc.grants.0" > 0 && get "net.vc.grants.1" > 0);
+  checki "vc grants = sum of per-VC grants" grants
+    (get "net.vc.grants.0" + get "net.vc.grants.1");
+  let xmits = get "net.link.xmits" in
+  let samples name =
+    match Udma_obs.Metrics.histogram m name with
+    | Some h -> h.Udma_obs.Metrics.count
+    | None -> 0
+  in
+  checkb "links crossed" true (xmits > 0);
+  checki "xmits = sum of link_stats xmits" xmits
+    (List.fold_left
+       (fun a (l : Router.link_stat) -> a + l.Router.xmits)
+       0 r.Load_gen.links);
+  checki "one depth sample per crossing" xmits (samples "net.link.depth");
+  checki "one VC grant per crossing" xmits grants;
+  checki "one VC depth sample per grant" grants (samples "net.vc.depth")
+
 (* ---------- sweep + knee ---------- *)
 
 let mk_point ?(injected = 100) ?(delivered = 100) load mean =
@@ -449,6 +489,8 @@ let () =
             test_load_gen_vcs_deterministic;
           Alcotest.test_case "credit backpressure stalls sources" `Quick
             test_load_gen_credit_stalls;
+          Alcotest.test_case "analytic metric wiring" `Quick
+            test_load_gen_analytic_metric_wiring;
         ] );
       ( "sweep",
         [
